@@ -1,8 +1,8 @@
 # cython: boundscheck=False, wraparound=False, cdivision=True
-"""Compiled twins of the _kernels_py functions.
+"""Compiled twin of the _kernels_py simulation kernel.
 
-The draw sequences, pattern ordering, and results must match the pure
-implementations bit for bit; tests compare the two backends directly.
+The draw sequences and results must match the pure implementation bit
+for bit; tests compare the two backends directly.
 """
 
 from libc.stdlib cimport free, malloc
@@ -34,74 +34,6 @@ cdef inline u64 below(u64 *state, u64 n) noexcept nogil:
         v = next_u64(state)
         if v >= threshold:
             return v % n
-
-
-def burst_exhaustive(int q, cells, block_grid):
-    """See _kernels_py.burst_exhaustive."""
-    cdef int ncells = len(cells)
-    cdef int *pxs = <int *> malloc(ncells * sizeof(int))
-    cdef int *pys = <int *> malloc(ncells * sizeof(int))
-    cdef int *grid = <int *> malloc(q * q * sizeof(int))
-    cdef u64 *masks = <u64 *> malloc(ncells * sizeof(u64))
-    cdef unsigned char *digits = <unsigned char *> malloc(ncells)
-    if pxs == NULL or pys == NULL or grid == NULL or masks == NULL \
-            or digits == NULL:
-        free(pxs)
-        free(pys)
-        free(grid)
-        free(masks)
-        free(digits)
-        raise MemoryError()
-    cdef long long cases = 0, failures = 0, pi
-    cdef int ax, ay, i
-    cdef u64 acc, m
-    witness = None
-    try:
-        for i in range(ncells):
-            pxs[i] = cells[i][0]
-            pys[i] = cells[i][1]
-        for i in range(q * q):
-            grid[i] = block_grid[i]
-        for ay in range(q):
-            for ax in range(q):
-                for i in range(ncells):
-                    masks[i] = (<u64> 1) << grid[((ay + pys[i]) % q) * q
-                                                 + (ax + pxs[i]) % q]
-                for i in range(ncells):
-                    digits[i] = 0
-                pi = 0
-                while True:
-                    acc = 0
-                    for i in range(ncells):
-                        if digits[i]:
-                            m = masks[i]
-                            if acc & m:
-                                failures += 1
-                                if witness is None:
-                                    witness = (ax, ay, pi)
-                                break
-                            acc = acc | m
-                    # odometer: rightmost digit varies fastest, matching
-                    # itertools.product((0, 1, 2), repeat=ncells)
-                    i = ncells - 1
-                    while i >= 0:
-                        digits[i] += 1
-                        if digits[i] == 3:
-                            digits[i] = 0
-                            i -= 1
-                        else:
-                            break
-                    pi += 1
-                    if i < 0:
-                        break
-                cases += pi
-    finally:
-        free(pxs)
-        free(pys)
-        free(grid)
-        free(masks)
-        free(digits)
-    return cases, failures, witness
 
 
 def simulate_trials(int q, cells, block_grid, u64 seed, long long start,

@@ -1,5 +1,4 @@
-"""Pure-Python kernels for the burst-exhaustion sweep and the seeded
-channel simulation.
+"""Pure-Python kernel for the seeded channel simulation.
 
 toriclat.kernels swaps in the compiled twin (_kernels_c) when it was
 built; both implementations follow the same draw sequences and must
@@ -8,11 +7,8 @@ return identical results.
 Shared conventions:
   * cells       -- the tiling shape's offsets, row-major; cell i of a
                    cluster anchored at (ax, ay) is ((ax+px) % q, (ay+py) % q).
-  * block_grid  -- length q*q, block index of the cell at x + q*y... stored
-                   row-major as index y*q + x.
-  * a pattern assigns each cluster cell one of {0 none, 1 top, 2 left};
-    patterns are ordered like itertools.product((0,1,2), repeat=ncells),
-    i.e. base-3 integers with cell 0 as the most significant digit.
+  * block_grid  -- length q*q, the block index of the cell (x, y) stored
+                   row-major at index y*q + x.
   * trial draws -- stream(seed, trial): anchor x, anchor y, then either
     one choice in range(3) per cell (model 0) or a partial Fisher-Yates
     over the cluster's 2*ncells edges taking the first ncells (model 1).
@@ -20,47 +16,12 @@ Shared conventions:
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Sequence
 
 from .rng import stream
 
 MODEL_ONE_PER_CELL = 0
 MODEL_UNIFORM_CLUSTER = 1
-
-
-def burst_exhaustive(
-    q: int, cells: Sequence[tuple[int, int]], block_grid: Sequence[int]
-) -> tuple[int, int, tuple[int, int, int] | None]:
-    """Try every anchor and every one-edge-per-cell error pattern.
-
-    A pattern fails when two chosen edges land in the same code block.
-    Returns (cases, failures, witness); the witness is (ax, ay,
-    pattern_index) of the first failing case, or None.
-    """
-    ncells = len(cells)
-    patterns = list(product((0, 1, 2), repeat=ncells))
-    # the block of an edge ignores the slot, so only the selected cells matter
-    selections = [tuple(i for i, ch in enumerate(pat) if ch) for pat in patterns]
-    cases = 0
-    failures = 0
-    witness: tuple[int, int, int] | None = None
-    for ay in range(q):
-        for ax in range(q):
-            masks = [1 << block_grid[((ay + py) % q) * q + (ax + px) % q]
-                     for px, py in cells]
-            for pi, sel in enumerate(selections):
-                acc = 0
-                for i in sel:
-                    m = masks[i]
-                    if acc & m:
-                        failures += 1
-                        if witness is None:
-                            witness = (ax, ay, pi)
-                        break
-                    acc |= m
-            cases += len(selections)
-    return cases, failures, witness
 
 
 def simulate_trials(

@@ -51,6 +51,26 @@ class UsageError(Exception):
     pass
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type for counts such as --precision."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _seed(text: str) -> int:
+    """argparse type for --seed; seeds wider than 64 bits would alias."""
+    value = _non_negative_int(text)
+    if value >> 64:
+        raise argparse.ArgumentTypeError(f"must be < 2^64, got {value}")
+    return value
+
+
 def _parse_q_range(text: str) -> list[int]:
     parts = text.split(":")
     if len(parts) != 3:
@@ -164,13 +184,13 @@ def _load_shape(selector: str, lattice: TorusLattice) -> Polyomino:
     if selector.startswith("file:"):
         path = Path(selector[len("file:"):])
         cells = []
-        for line in path.read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            x, y = line.split()
-            cells.append((int(x), int(y)))
         try:
+            for line in path.read_text(encoding="utf-8").splitlines():
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                x, y = line.split()
+                cells.append((int(x), int(y)))
             return Polyomino.from_cells(cells)
         except ValueError as exc:
             raise UsageError(f"bad shape file {path}: {exc}") from exc
@@ -459,14 +479,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("params", help="code parameters for all families")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--precision", type=int, default=5)
+    p.add_argument("--precision", type=_non_negative_int, default=5)
     _add_common(p, ("text", "json", "csv"))
     p.set_defaults(func=cmd_params)
 
     p = sub.add_parser("compare", help="interleaved code vs baselines")
     p.add_argument("--q-range", default="5:17:2",
                    help="start:stop:step, stop inclusive")
-    p.add_argument("--precision", type=int, default=5)
+    p.add_argument("--precision", type=_non_negative_int, default=5)
     _add_common(p, ("text", "json", "csv"))
     p.set_defaults(func=cmd_compare)
 
@@ -478,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="seeded cluster-error simulation")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--model",
                    choices=(interleaving.MODEL_ONE_PER_CELL,
                             interleaving.MODEL_UNIFORM_CLUSTER),
@@ -489,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tables", help="regenerate the reference tables")
     p.add_argument("which", choices=tables.TABLE_IDS + ("all",))
-    p.add_argument("--precision", type=int, default=5)
+    p.add_argument("--precision", type=_non_negative_int, default=5)
     _add_common(p, ("text", "json"))
     p.set_defaults(func=cmd_tables)
 

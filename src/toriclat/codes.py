@@ -4,15 +4,15 @@ classification helpers.
 The code is the order-q subgroup of Z_q x Z_q spanned by (1, g) with
 g = 2*(n-1); its elements mark the cells where tiling regions are
 anchored.  A signed pair (c, d) is an alternative generator exactly when
-d is congruent to g*c modulo q, neither component vanishes modulo q, and
-the multiples of (c, d) span the whole subgroup.
+d is congruent to g*c modulo q and c is a unit modulo q: then (c, d) is
+c times (1, g), whose multiples run through the whole subgroup.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import isqrt
+from math import gcd, isqrt
 
 from .lattice import Cell, TorusLattice, Vector
 
@@ -46,38 +46,29 @@ def codewords(lattice: TorusLattice) -> CodewordSet:
     return CodewordSet(lattice, tuple((k, (k * g) % q) for k in range(q)))
 
 
-def _spans_code(q: int, vec: Vector, code_cells: frozenset[Cell]) -> bool:
-    span = frozenset(((k * vec[0]) % q, (k * vec[1]) % q) for k in range(q))
-    return span == code_cells
-
-
 def generates_same_code(lattice: TorusLattice, vec: Vector) -> bool:
     """True when the mod-q multiples of vec give exactly the code's cells."""
-    return _spans_code(lattice.q, vec, codewords(lattice).cell_set)
+    q = lattice.q
+    span = frozenset(((k * vec[0]) % q, (k * vec[1]) % q) for k in range(q))
+    return span == codewords(lattice).cell_set
 
 
 def generator_set(lattice: TorusLattice) -> GeneratorSet:
-    """Enumerate every generating pair (c, d) with components in +-{1..q-1}.
+    """Every generating pair (c, d) with components in +-{1..q-1}.
 
-    For each c the procedure takes d = g*c mod q and records (c, d) and
-    (c, d-q), then drops pairs with a component divisible by q.  The
-    zero-component test alone is not sufficient for composite q -- at
-    q = 15 the pair (3, 6) survives it yet spans only a subgroup of
-    order 5 -- so candidates must also span the full code.
+    These are (c, g*c mod q) and (c, g*c mod q - q) for each c coprime
+    to q.  Coprimality is what makes the multiples span the whole code:
+    at q = 15 the pair (3, 6) has d = g*c mod q yet spans only a subgroup
+    of order 5.  Neither component can vanish, since g*c = -3c mod q and
+    q does not divide 3.
     """
     q, g = lattice.q, lattice.g
-    code_cells = codewords(lattice).cell_set
-    found: set[Vector] = set()
+    vectors: set[Vector] = set()
     for c in range(-(q - 1), q):
-        if c == 0:
-            continue
-        d = (g * c) % q
-        for cand in ((c, d), (c, d - q)):
-            if cand[0] % q == 0 or cand[1] % q == 0:
-                continue
-            if _spans_code(q, cand, code_cells):
-                found.add(cand)
-    return GeneratorSet(lattice, frozenset(found))
+        if gcd(c, q) == 1:
+            d = (g * c) % q
+            vectors.update(((c, d), (c, d - q)))
+    return GeneratorSet(lattice, frozenset(vectors))
 
 
 def is_perfect(lattice: TorusLattice) -> bool:

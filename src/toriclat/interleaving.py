@@ -18,12 +18,15 @@ within a block, so the canonical (1, g) layout is the one exposed.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations
+from math import prod
 
 from . import kernels
 from .codes import codewords
-from .lattice import SLOT_LEFT, SLOT_TOP, Cell, Edge, TorusLattice
+from .lattice import (SLOT_LEFT, SLOT_TOP, Cell, Edge, TorusLattice,
+                      coset_label)
 from .rng import M64, stream
 from .tessellation import Polyomino, canonical_polyomino
 
@@ -43,12 +46,23 @@ class InterleaverMap:
     lattice: TorusLattice
     shape: Polyomino
     anchors: tuple[Cell, ...]
-    stream_to_edge: tuple[Edge, ...]
     block_grid: tuple[int, ...]
 
     @property
     def block_size(self) -> int:
         return 2 * self.lattice.q
+
+    @cached_property
+    def stream_to_edge(self) -> tuple[Edge, ...]:
+        """The torus edge at each stream position, block by block."""
+        q = self.lattice.q
+        code = codewords(self.lattice).codewords
+        edges: list[Edge] = []
+        for bx, by in self.shape.cells:
+            cells_b = [((bx + kx) % q, (by + ky) % q) for kx, ky in code]
+            edges.extend(Edge(x, y, SLOT_TOP) for x, y in cells_b)
+            edges.extend(Edge(x, y, SLOT_LEFT) for x, y in cells_b)
+        return tuple(edges)
 
     def edge_block(self, edge: Edge) -> int:
         return self.block_grid[edge.y * self.lattice.q + edge.x]
@@ -63,34 +77,26 @@ def build_interleaver(
     """Lay the 2*q**2 stream positions onto the torus edges block by block.
 
     The shape must be a fundamental region; the default is the canonical
-    tiling shape.  Raises ValueError when two shape cells share a coset.
+    tiling shape.  Block b is the coset of the shape's cell b, so a cell's
+    block is read off its coset label.  Raises ValueError when two shape
+    cells share a coset or the shape does not have q cells.
     """
-    q = lattice.q
+    q, g = lattice.q, lattice.g
     if shape is None:
         shape = canonical_polyomino(lattice)
-    code = codewords(lattice)
-
-    block_grid = [-1] * (q * q)
+    block_of_label: dict[int, int] = {}
     for b, (bx, by) in enumerate(shape.cells):
-        for kx, ky in code.codewords:
-            idx = ((by + ky) % q) * q + (bx + kx) % q
-            if block_grid[idx] != -1:
-                raise ValueError(
-                    "shape is not a fundamental region: blocks "
-                    f"{block_grid[idx]} and {b} collide on cell "
-                    f"({(bx + kx) % q}, {(by + ky) % q})")
-            block_grid[idx] = b
-
-    stream_edges: list[Edge] = []
-    for bx, by in shape.cells:
-        cells_b = [((bx + kx) % q, (by + ky) % q) for kx, ky in code.codewords]
-        stream_edges.extend(Edge(x, y, SLOT_TOP) for x, y in cells_b)
-        stream_edges.extend(Edge(x, y, SLOT_LEFT) for x, y in cells_b)
-    if len(set(stream_edges)) != 2 * q * q:
-        raise AssertionError("stream placement is not a bijection")
-
-    return InterleaverMap(lattice, shape, shape.cells, tuple(stream_edges),
-                          tuple(block_grid))
+        first = block_of_label.setdefault(coset_label(q, g, bx, by), b)
+        if first != b:
+            raise ValueError(
+                "shape is not a fundamental region: blocks "
+                f"{first} and {b} collide on cell ({bx % q}, {by % q})")
+    if len(block_of_label) != q:
+        raise ValueError(
+            f"shape has {len(block_of_label)} cells, expected q={q}")
+    block_grid = tuple(block_of_label[coset_label(q, g, x, y)]
+                       for x, y in lattice.cells())
+    return InterleaverMap(lattice, shape, shape.cells, block_grid)
 
 
 def deinterleave(mapping: InterleaverMap, errors) -> list[int]:
@@ -117,16 +123,48 @@ def cluster_cells(lattice: TorusLattice, shape: Polyomino, anchor: Cell
 
 def burst_exhaustive_report(lattice: TorusLattice
                             ) -> tuple[int, int, tuple[int, int, int] | None]:
-    """Enumerate all q**2 anchors x 3**q one-edge-per-cell patterns.
+    """Account for all q**2 anchors x 3**q one-edge-per-cell patterns.
 
     Returns (cases, failures, witness); a failing witness is (ax, ay,
-    pattern_index).  Limited to q <= 9, where 3**q stays enumerable.
+    pattern_index).  Limited to q <= 9.
     """
     if lattice.q > 9:
         raise ValueError("exhaustive burst enumeration is limited to q <= 9")
     mapping = build_interleaver(lattice)
-    return kernels.burst_exhaustive(lattice.q, mapping.shape.cells,
-                                    mapping.block_grid)
+    return burst_pattern_counts(lattice.q, mapping.shape.cells,
+                                mapping.block_grid)
+
+
+def burst_pattern_counts(
+    q: int, cells: tuple[Cell, ...], block_grid: tuple[int, ...]
+) -> tuple[int, int, tuple[int, int, int] | None]:
+    """Count, per anchor, the error patterns that overflow a block.
+
+    A pattern gives each cluster cell one of {0 none, 1 top, 2 left}; the
+    patterns are numbered like itertools.product((0, 1, 2), repeat=n),
+    cell 0 being the most significant base-3 digit.  A pattern fails when
+    two errored cells share a block, so with m_b cluster cells in block b
+    exactly prod(1 + 2*m_b) patterns pass.  The first failing pattern
+    errs the top edges of just the colliding pair (i, j) that minimises
+    3**(n-1-i) + 3**(n-1-j).  The witness is (ax, ay, pattern_index) at
+    the first failing anchor in row-major order, or None.
+    """
+    n = len(cells)
+    total = 3 ** n
+    failures = 0
+    witness: tuple[int, int, int] | None = None
+    for ay in range(q):
+        for ax in range(q):
+            blocks = [block_grid[((ay + py) % q) * q + (ax + px) % q]
+                      for px, py in cells]
+            passing = prod(1 + 2 * blocks.count(b) for b in set(blocks))
+            failures += total - passing
+            if passing < total and witness is None:
+                witness = (ax, ay, min(
+                    3 ** (n - 1 - i) + 3 ** (n - 1 - j)
+                    for i, j in combinations(range(n), 2)
+                    if blocks[i] == blocks[j]))
+    return q * q * total, failures, witness
 
 
 def burst_correctability_exhaustive(lattice: TorusLattice) -> bool:
@@ -210,7 +248,8 @@ def simulate(lattice: TorusLattice, trials: int, seed: int,
     """Sample random cluster-error trials and count correctable ones.
 
     Trial i draws from an independent stream derived from (seed, i), so
-    the statistics are identical for any worker count.  one-per-cell
+    the statistics do not depend on how trials are split up; all of them
+    run in one kernel call, and workers is only validated.  one-per-cell
     picks none/top/left uniformly per cluster cell; uniform-cluster draws
     q of the cluster's 2q edges without replacement, which can err both
     slots of one cell and thereby overflow a block.
@@ -222,32 +261,11 @@ def simulate(lattice: TorusLattice, trials: int, seed: int,
     if workers < 1:
         raise ValueError("workers must be >= 1")
     mapping = build_interleaver(lattice)
-    q = lattice.q
-    model_id = _MODEL_IDS[model]
-    seed_u64 = seed & M64
-
-    chunk = -(-trials // workers)
-    ranges = [(start, min(chunk, trials - start))
-              for start in range(0, trials, chunk)]
-
-    def run(span: tuple[int, int]):
-        start, count = span
-        return kernels.simulate_trials(q, mapping.shape.cells,
-                                       mapping.block_grid, seed_u64, start,
-                                       count, model_id, t, max_exemplars)
-
-    if len(ranges) == 1:
-        results = [run(ranges[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-            results = list(pool.map(run, ranges))
-
-    correctable = sum(r[0] for r in results)
-    failing: list[int] = []
-    for r in results:
-        failing.extend(r[2])
+    correctable, failures, failing = kernels.simulate_trials(
+        lattice.q, mapping.shape.cells, mapping.block_grid, seed & M64, 0,
+        trials, _MODEL_IDS[model], t, max_exemplars)
     exemplars = tuple(
         FailureExemplar(i, _replay_trial(lattice, mapping.shape, seed, i, model))
-        for i in failing[:max_exemplars])
-    return SimulationStats(q, model, seed, trials, correctable,
-                           trials - correctable, exemplars)
+        for i in failing)
+    return SimulationStats(lattice.q, model, seed, trials, correctable,
+                           failures, exemplars)

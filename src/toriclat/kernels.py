@@ -25,5 +25,4 @@ BACKEND = "c" if compiled is not None else "python"
 MODEL_ONE_PER_CELL = pure.MODEL_ONE_PER_CELL
 MODEL_UNIFORM_CLUSTER = pure.MODEL_UNIFORM_CLUSTER
 
-burst_exhaustive = _impl.burst_exhaustive
 simulate_trials = _impl.simulate_trials

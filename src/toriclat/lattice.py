@@ -31,6 +31,16 @@ def symmetric_residue(v: int, q: int) -> int:
     return (v + half) % q - half
 
 
+def coset_label(q: int, g: int, x: int, y: int) -> int:
+    """Which coset of the code <(1, g)> holds the cell (x, y).
+
+    (x, y) - (x', y') is a multiple of (1, g) mod q exactly when
+    y - g*x = y' - g*x' mod q, so two cells share a coset exactly when
+    their labels are equal, and the q labels name the q cosets.
+    """
+    return (y - g * x) % q
+
+
 @dataclass(frozen=True)
 class TorusLattice:
     """The q x q cell grid with torus wraparound, q = 2n+1 and n >= 2."""

@@ -2,8 +2,7 @@
 
 A polyomino with q cells tiles the torus under translation by the q
 codewords exactly when its cells lie in pairwise distinct cosets of the
-code.  Both that criterion and the direct exact-cover check are run side
-by side; they must always agree.
+code, i.e. when their q coset labels are distinct.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .codes import CodewordSet, codewords
-from .lattice import Cell, TorusLattice
+from .lattice import Cell, TorusLattice, coset_label
 
 
 @dataclass(frozen=True)
@@ -105,42 +104,25 @@ def is_fundamental_region(
 
     Accepts a Polyomino or any iterable of q distinct cells (the test is
     translation-invariant and does not need connectivity).  Returns
-    (ok, witness); on failure the witness is a pair of shape cells that
-    differ by a codeword modulo q, i.e. share a coset.
+    (ok, witness); on failure the witness is the first pair of shape
+    cells (i < j, in lexicographic order of (i, j)) that share a coset.
     """
     cells = shape.cells if isinstance(shape, Polyomino) else tuple(set(shape))
     lattice = code.lattice
     q = lattice.q
     if len(cells) != q:
         raise ValueError(f"shape has {len(cells)} cells, expected q={q}")
-    cw = code.cell_set
-
-    distinct = True
-    witness: tuple[Cell, Cell] | None = None
-    for i in range(len(cells)):
-        ax, ay = cells[i]
-        for j in range(i + 1, len(cells)):
-            bx, by = cells[j]
-            if ((ax - bx) % q, (ay - by) % q) in cw:
-                distinct = False
-                witness = (cells[i], cells[j])
-                break
-        if not distinct:
-            break
-
-    covered = bytearray(q * q)
-    clash = False
-    for kx, ky in code.codewords:
-        for px, py in cells:
-            idx = ((ky + py) % q) * q + (kx + px) % q
-            if covered[idx]:
-                clash = True
-            covered[idx] = 1
-    covers = not clash and all(covered)
-
-    if distinct != covers:
-        raise AssertionError("coset and exact-cover checks disagree")
-    return distinct, witness
+    labels = [coset_label(q, lattice.g, x, y) for x, y in cells]
+    first: dict[int, int] = {}
+    for j, label in enumerate(labels):
+        first.setdefault(label, j)
+    if len(first) == q:
+        return True, None
+    # the first cell with a later partner is the first of its label, and
+    # its earliest partner is that label's second cell
+    i, j = min((first[label], j) for j, label in enumerate(labels)
+               if first[label] != j)
+    return False, (cells[i], cells[j])
 
 
 @dataclass(frozen=True)

@@ -154,6 +154,16 @@ def test_tessellate_bad_shape_is_a_violation(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("text", ["0 0\n1 0 0\n", "0 0\n1 x\n"])
+def test_tessellate_malformed_shape_file_is_a_usage_error(tmp_path, capsys,
+                                                          text):
+    shape = tmp_path / "shape.txt"
+    shape.write_text(text, encoding="utf-8")
+    code = main(["tessellate", "--q", "5", "--shape", f"file:{shape}"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: bad shape file")
+
+
 def test_params_csv_schema(capsys):
     code, out = run(capsys, "params", "--q", "5", "--format", "csv")
     assert code == 0
@@ -227,6 +237,28 @@ def test_simulate_csv(capsys):
 def test_simulate_zero_trials_is_a_usage_error(capsys):
     code, _ = run(capsys, "simulate", "--q", "5", "--trials", "0")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["params", "--q", "5", "--precision", "-1"],
+    ["compare", "--precision", "-1"],
+    ["tables", "T8", "--precision", "-2"],
+    ["simulate", "--q", "5", "--trials", "10", "--seed", "-1"],
+    ["simulate", "--q", "5", "--trials", "10", "--seed", str(2 ** 64)],
+])
+def test_out_of_range_options_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument" in err and "Traceback" not in err
+
+
+def test_simulate_accepts_the_largest_seed(capsys):
+    code, out = run(capsys, "simulate", "--q", "5", "--trials", "10",
+                    "--seed", str(2 ** 64 - 1))
+    assert code == 0
+    assert json.loads(out)["seed"] == 2 ** 64 - 1
 
 
 def test_verify_passes(capsys):

@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import given, strategies as st
 
+from oracles import PROPERTY, generators_by_span
 from reference_data import GENERATOR_SETS
 from toriclat.codes import (codewords, generates_same_code, generator_set,
                             is_perfect, is_sum_of_two_squares,
@@ -58,6 +60,13 @@ def test_generator_set_is_complete_over_all_signed_pairs(q):
     for c in components:
         for d in components:
             assert generates_same_code(lat, (c, d)) == ((c, d) in vectors)
+
+
+@PROPERTY
+@given(st.sampled_from(range(5, 202, 2)))
+def test_generator_set_matches_the_span_oracle(q):
+    lat = TorusLattice(q)
+    assert generator_set(lat).vectors == generators_by_span(lat)
 
 
 @pytest.mark.parametrize("q", range(5, 42, 2))

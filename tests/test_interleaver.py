@@ -1,7 +1,10 @@
 import json
+from math import comb, sqrt
 
 import pytest
+from hypothesis import given
 
+from oracles import PROPERTY, block_grid_by_cover, odd_q_and_polyomino
 from toriclat.interleaving import (MODEL_ONE_PER_CELL, MODEL_UNIFORM_CLUSTER,
                                    build_interleaver,
                                    burst_correctability_exhaustive,
@@ -10,7 +13,7 @@ from toriclat.interleaving import (MODEL_ONE_PER_CELL, MODEL_UNIFORM_CLUSTER,
                                    double_slot_uncorrectable_exhaustive,
                                    is_correctable, simulate)
 from toriclat.lattice import SLOT_LEFT, SLOT_TOP, Edge, TorusLattice
-from toriclat.tessellation import Polyomino, lee_sphere
+from toriclat.tessellation import Polyomino, canonical_polyomino, lee_sphere
 
 
 def test_stream_placement_q5():
@@ -62,8 +65,34 @@ def test_every_cluster_translate_hits_all_blocks_once(q):
 def test_build_rejects_non_fundamental_shapes():
     # (1,2) - (0,0) is a codeword, so these two cells share a coset
     ell = Polyomino.from_cells([(0, 0), (1, 0), (1, 1), (1, 2), (0, 2)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"blocks 0 and 4 collide on cell "
+                                         r"\(1, 2\)"):
         build_interleaver(TorusLattice(5), ell)
+    tetromino = Polyomino.from_cells([(0, 0), (1, 0), (0, 1), (1, 1)])
+    with pytest.raises(ValueError, match="shape has 4 cells"):
+        build_interleaver(TorusLattice(5), tetromino)
+
+
+@pytest.mark.parametrize("q", range(5, 42, 2))
+def test_block_grid_matches_the_cover_oracle_on_canonical_shapes(q):
+    lat = TorusLattice(q)
+    assert build_interleaver(lat).block_grid == \
+        block_grid_by_cover(lat, canonical_polyomino(lat))
+
+
+@PROPERTY
+@given(odd_q_and_polyomino())
+def test_block_grid_matches_the_cover_oracle_on_random_shapes(q_and_shape):
+    q, shape = q_and_shape
+    lat = TorusLattice(q)
+    try:
+        expected = block_grid_by_cover(lat, shape)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            build_interleaver(lat, shape)
+        assert str(got.value) == str(exc)
+    else:
+        assert build_interleaver(lat, shape).block_grid == expected
 
 
 def test_build_accepts_the_lee_sphere():
@@ -135,6 +164,16 @@ def test_simulate_uniform_cluster_fails_and_is_frozen_by_seed():
     assert stats.correctable == 248
     assert stats.failures == 1752
     assert [ex.trial for ex in stats.exemplars] == [1, 2, 3, 4, 5]
+
+
+def test_simulate_uniform_cluster_matches_the_exact_failure_rate():
+    # each cell of a fundamental cluster is alone in its block, so a
+    # trial is correctable exactly when it errs one edge of every cell
+    q, trials = 5, 20_000
+    p = 1 - 2 ** q / comb(2 * q, q)
+    stats = simulate(TorusLattice(q), trials=trials, seed=20261018,
+                     model=MODEL_UNIFORM_CLUSTER)
+    assert abs(stats.failures - trials * p) <= 5 * sqrt(trials * p * (1 - p))
 
 
 def test_simulate_exemplars_replay_to_uncorrectable_clusters():

@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, strategies as st
 
+from oracles import PROPERTY, burst_by_enumeration
 from toriclat import kernels
-from toriclat.interleaving import build_interleaver
+from toriclat.interleaving import (build_interleaver, burst_exhaustive_report,
+                                   burst_pattern_counts)
 from toriclat.lattice import TorusLattice
 from toriclat.rng import M64, SplitMix64, mix64, stream
 
@@ -54,14 +57,6 @@ needs_compiled = pytest.mark.skipif(
 
 
 @needs_compiled
-def test_backends_agree_on_burst_exhaustive():
-    for q in (5, 7):
-        args = _interleaver_args(q)
-        assert kernels.pure.burst_exhaustive(*args) == \
-            kernels.compiled.burst_exhaustive(*args)
-
-
-@needs_compiled
 @pytest.mark.parametrize("model", [0, 1])
 def test_backends_agree_on_simulation(model):
     q, cells, grid = _interleaver_args(5)
@@ -108,39 +103,57 @@ def test_burst_kernel_agrees_with_the_public_api_enumeration():
     q = 5
     mapping = build_interleaver(TorusLattice(q))
     reference = _burst_by_is_correctable(q, mapping.shape, mapping)
-    fast = kernels.pure.burst_exhaustive(q, mapping.shape.cells,
-                                         mapping.block_grid)
-    assert fast == reference == (6075, 0, None)
+    assert burst_exhaustive_report(TorusLattice(q)) == \
+        burst_by_enumeration(*_interleaver_args(q)) == reference == \
+        (6075, 0, None)
+
+
+def _corrupted_grid(q):
+    # relabel so two different cells of the cluster at (0,0) share block 0
+    q, cells, grid = _interleaver_args(q)
+    bad_grid = list(grid)
+    bad_grid[cells[1][1] * q + cells[1][0]] = \
+        bad_grid[cells[0][1] * q + cells[0][0]]
+    return cells, bad_grid
 
 
 def test_burst_kernel_agrees_with_the_api_on_a_failing_layout():
     # corrupt the block map so collisions exist, then compare routes
     q = 5
+    cells, bad_grid = _corrupted_grid(q)
     mapping = build_interleaver(TorusLattice(q))
-    bad_grid = list(mapping.block_grid)
-    cells = mapping.shape.cells
-    bad_grid[cells[1][1] * q + cells[1][0]] = \
-        bad_grid[cells[0][1] * q + cells[0][0]]
     from dataclasses import replace
     broken = replace(mapping, block_grid=tuple(bad_grid))
     reference = _burst_by_is_correctable(q, broken.shape, broken)
-    fast = kernels.pure.burst_exhaustive(q, cells, bad_grid)
-    assert fast == reference
+    fast = burst_pattern_counts(q, cells, bad_grid)
+    assert fast == burst_by_enumeration(q, cells, bad_grid) == reference
     assert fast[1] > 0
 
 
 def test_burst_witness_reports_the_failing_case():
-    # a deliberately broken block map: both shape cells of one block
     q = 5
-    mapping = build_interleaver(TorusLattice(q))
-    bad_grid = list(mapping.block_grid)
-    # relabel so two different cells of the cluster at (0,0) share block 0
-    cells = mapping.shape.cells
-    first = cells[0]
-    second = cells[1]
-    bad_grid[second[1] * q + second[0]] = \
-        bad_grid[first[1] * q + first[0]]
-    cases, failures, witness = kernels.pure.burst_exhaustive(q, cells, bad_grid)
+    cells, bad_grid = _corrupted_grid(q)
+    cases, failures, witness = burst_pattern_counts(q, cells, bad_grid)
     assert cases == 25 * 3 ** 5
     assert failures > 0
-    assert witness is not None
+    # both cells collide at anchor (0,0); the first failing pattern errs
+    # the top edges of cells 0 and 1 only
+    assert witness == (0, 0, 3 ** 4 + 3 ** 3)
+
+
+def test_burst_counts_match_the_enumeration_oracle_at_q7():
+    args = _interleaver_args(7)
+    assert burst_exhaustive_report(TorusLattice(7)) == \
+        burst_by_enumeration(*args) == (49 * 3 ** 7, 0, None)
+
+
+@PROPERTY
+@given(st.lists(st.tuples(st.integers(0, 24), st.integers(0, 4)),
+                min_size=1, max_size=4))
+def test_burst_counts_match_the_oracle_on_corrupted_grids(edits):
+    q, cells, grid = _interleaver_args(5)
+    grid = list(grid)
+    for index, block in edits:
+        grid[index] = block
+    assert burst_pattern_counts(q, cells, grid) == \
+        burst_by_enumeration(q, cells, grid)

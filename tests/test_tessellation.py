@@ -2,7 +2,10 @@ import random
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, strategies as st
 
+from oracles import (PROPERTY, fundamental_by_pairs_and_cover,
+                     odd_q_and_polyomino)
 from toriclat.codes import codewords
 from toriclat.lattice import TorusLattice
 from toriclat.tessellation import (Polyomino, canonical_polyomino,
@@ -85,22 +88,44 @@ def _random_connected_shape(rng, area):
 
 @pytest.mark.parametrize("q", [5, 7, 9, 13, 17, 25, 31])
 def test_coset_test_agrees_with_direct_cover_on_random_shapes(q):
-    # is_fundamental_region runs both checks internally and raises if they
-    # disagree; this also compares against an independent cover count.
     rng = random.Random(900 + q)
-    lat = TorusLattice(q)
-    code = codewords(lat)
+    code = codewords(TorusLattice(q))
     for _ in range(25):
         shape = _random_connected_shape(rng, q)
-        ok, witness = is_fundamental_region(code, shape)
-        covered = set()
-        for kx, ky in code.codewords:
-            for px, py in shape.cells:
-                covered.add((((kx + px) % q), ((ky + py) % q)))
-        assert ok == (len(covered) == q * q)
-        if not ok:
-            a, b = witness
-            assert code.contains(((a[0] - b[0]) % q, (a[1] - b[1]) % q))
+        assert is_fundamental_region(code, shape) == \
+            fundamental_by_pairs_and_cover(code, shape.cells)
+
+
+@PROPERTY
+@given(odd_q_and_polyomino())
+def test_label_test_matches_the_pairwise_and_cover_oracle(q_and_shape):
+    q, shape = q_and_shape
+    code = codewords(TorusLattice(q))
+    assert is_fundamental_region(code, shape) == \
+        fundamental_by_pairs_and_cover(code, shape.cells)
+
+
+@st.composite
+def _odd_q_and_cell_set(draw):
+    # one cell per coset, then up to two cells moved, so both outcomes occur
+    q = draw(st.sampled_from(range(5, 34, 2)))
+    coord = st.integers(0, q - 1)
+    xs = draw(st.lists(coord, min_size=q, max_size=q))
+    cells = [(x, (label + (q - 3) * x) % q) for label, x in enumerate(xs)]
+    for i, cell in draw(st.lists(st.tuples(coord, st.tuples(coord, coord)),
+                                 max_size=2)):
+        if cell not in cells:
+            cells[i] = cell
+    return q, set(cells)
+
+
+@PROPERTY
+@given(_odd_q_and_cell_set())
+def test_label_test_matches_the_oracle_on_cell_sets(q_and_cells):
+    q, cells = q_and_cells
+    code = codewords(TorusLattice(q))
+    assert is_fundamental_region(code, cells) == \
+        fundamental_by_pairs_and_cover(code, tuple(set(cells)))
 
 
 @pytest.mark.parametrize("q", [5, 13])
