@@ -28,6 +28,8 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
+MAX_PRECISION = 100
+
 
 def _emit(text: str, out: str | None) -> None:
     if out:
@@ -52,7 +54,8 @@ class UsageError(Exception):
 
 
 def _non_negative_int(text: str) -> int:
-    """argparse type for counts such as --precision."""
+    """argparse type for non-negative integers; --precision and --seed
+    add their own bounds."""
     try:
         value = int(text)
     except ValueError:
@@ -60,6 +63,16 @@ def _non_negative_int(text: str) -> int:
             f"invalid int value: {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _precision(text: str) -> int:
+    """argparse type for --precision; past 100 places a double shows no
+    more information, and huge counts make float formatting raise."""
+    value = _non_negative_int(text)
+    if value > MAX_PRECISION:
+        raise argparse.ArgumentTypeError(
+            f"must be <= {MAX_PRECISION}, got {value}")
     return value
 
 
@@ -190,7 +203,11 @@ def _load_shape(selector: str, lattice: TorusLattice) -> Polyomino:
                 if not line or line.startswith("#"):
                     continue
                 x, y = line.split()
-                cells.append((int(x), int(y)))
+                cell = (int(x), int(y))
+                if cell in cells:
+                    # from_cells would merge it and report a short shape
+                    raise ValueError(f"duplicate cell {cell}")
+                cells.append(cell)
             return Polyomino.from_cells(cells)
         except ValueError as exc:
             raise UsageError(f"bad shape file {path}: {exc}") from exc
@@ -479,14 +496,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("params", help="code parameters for all families")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--precision", type=_non_negative_int, default=5)
+    p.add_argument("--precision", type=_precision, default=5,
+                   help="decimal places, 0..100")
     _add_common(p, ("text", "json", "csv"))
     p.set_defaults(func=cmd_params)
 
     p = sub.add_parser("compare", help="interleaved code vs baselines")
     p.add_argument("--q-range", default="5:17:2",
                    help="start:stop:step, stop inclusive")
-    p.add_argument("--precision", type=_non_negative_int, default=5)
+    p.add_argument("--precision", type=_precision, default=5,
+                   help="decimal places, 0..100")
     _add_common(p, ("text", "json", "csv"))
     p.set_defaults(func=cmd_compare)
 
@@ -509,7 +528,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tables", help="regenerate the reference tables")
     p.add_argument("which", choices=tables.TABLE_IDS + ("all",))
-    p.add_argument("--precision", type=_non_negative_int, default=5)
+    p.add_argument("--precision", type=_precision, default=5,
+                   help="decimal places of the text tables (0..100); "
+                        "--format json ignores it and prints each value "
+                        "as an exact fraction and a full float")
     _add_common(p, ("text", "json"))
     p.set_defaults(func=cmd_tables)
 

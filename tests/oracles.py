@@ -1,10 +1,11 @@
 """Brute-force reference implementations for the tests.
 
 The package derives the tiling test, the generator set, the interleaver's
-block grid and the burst sweep from coset labels.  These functions get
-the same answers the direct way, by enumeration, so the tests can hold
-the fast paths to them.  The hypothesis settings and shape strategy
-shared by those property tests live here too.
+block grid and the burst sweep from coset labels, and its trial kernel
+skips draws that cannot change a trial's outcome.  These functions get
+the same answers the direct way, by enumeration or by making every draw,
+so the tests can hold the fast paths to them.  The hypothesis settings
+and shape strategy shared by those property tests live here too.
 """
 
 from itertools import product
@@ -12,6 +13,7 @@ from itertools import product
 from hypothesis import settings, strategies as st
 
 from toriclat.codes import generates_same_code
+from toriclat.rng import stream
 from toriclat.tessellation import Polyomino
 
 # every property test replays the same examples on every run
@@ -106,3 +108,40 @@ def burst_by_enumeration(q, cells, block_grid):
                     if witness is None:
                         witness = (ax, ay, index)
     return cases, failures, witness
+
+
+def simulate_by_streams(q, cells, block_grid, seed, start, count, model,
+                        t=1, max_record=5):
+    """The trial kernel's specification: every draw through rng.stream.
+
+    Same arguments and (correctable, failures, failing) result as
+    toriclat._kernels_py.simulate_trials.
+    """
+    ncells = len(cells)
+    nedges = 2 * ncells
+    correctable = 0
+    failing = []
+    for trial in range(start, start + count):
+        rng = stream(seed, trial)
+        ax = rng.below(q)
+        ay = rng.below(q)
+        blocks = [block_grid[((ay + py) % q) * q + (ax + px) % q]
+                  for px, py in cells]
+        counts = [0] * q
+        if model == 0:
+            for i in range(ncells):
+                if rng.below(3):
+                    counts[blocks[i]] += 1
+        elif model == 1:
+            perm = list(range(nedges))
+            for i in range(ncells):
+                j = i + rng.below(nedges - i)
+                perm[i], perm[j] = perm[j], perm[i]
+                counts[blocks[perm[i] >> 1]] += 1
+        else:
+            raise ValueError(f"unknown model {model}")
+        if max(counts) <= t:
+            correctable += 1
+        elif len(failing) < max_record:
+            failing.append(trial)
+    return correctable, count - correctable, failing

@@ -1,8 +1,12 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import PROPERTY
 from reference_data import GRID_MARKS, INTERLEAVED_ROWS
 from toriclat.cli import main
 
@@ -164,6 +168,18 @@ def test_tessellate_malformed_shape_file_is_a_usage_error(tmp_path, capsys,
     assert capsys.readouterr().err.startswith("error: bad shape file")
 
 
+def test_tessellate_shape_file_with_a_repeated_cell_is_a_usage_error(
+        tmp_path, capsys):
+    # the plus pentomino tiles q = 5; its repeated first line must not be
+    # merged away into a misleading cell-count violation
+    shape = tmp_path / "shape.txt"
+    shape.write_text("0 0\n1 0\n-1 0\n0 1\n0 -1\n0 0\n", encoding="utf-8")
+    code = main(["tessellate", "--q", "5", "--shape", f"file:{shape}"])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        f"error: bad shape file {shape}: duplicate cell (0, 0)\n"
+
+
 def test_params_csv_schema(capsys):
     code, out = run(capsys, "params", "--q", "5", "--format", "csv")
     assert code == 0
@@ -243,6 +259,7 @@ def test_simulate_zero_trials_is_a_usage_error(capsys):
     ["params", "--q", "5", "--precision", "-1"],
     ["compare", "--precision", "-1"],
     ["tables", "T8", "--precision", "-2"],
+    ["params", "--q", "5", "--precision", str(10 ** 20)],
     ["simulate", "--q", "5", "--trials", "10", "--seed", "-1"],
     ["simulate", "--q", "5", "--trials", "10", "--seed", str(2 ** 64)],
 ])
@@ -297,3 +314,103 @@ def test_golden_outputs_are_stable(capsys, name, argv):
     assert code == 0
     expected = (GOLDEN / name).read_text(encoding="utf-8")
     assert out == expected
+
+
+
+# Argv fuzzing.  Each flag gets valid, malformed and out-of-range values.
+# Valid sizes stay small so that each run is quick: --trials gets no huge
+# value, because a huge count is a valid request that runs as long as
+# asked, and the huge q values are even, so rejected.
+HUGE = str(10 ** 20)
+FLAG_VALUES = {
+    "--q": ("5", "41", "-5", "4", HUGE, "x", "", "1.5"),
+    "--q-max": ("9", "-7", "8", HUGE, "x"),
+    "--trials": ("40", "0", "-3", "x", "2.5"),
+    "--seed": ("7", "-1", str(2 ** 64 - 1), str(2 ** 64), "x"),
+    "--workers": ("2", "0", "-2", HUGE, "x"),
+    "--precision": ("0", "100", "101", "-1", HUGE, "x"),
+    "--q-range": ("5:9:2", "9:5:2", "5:9:0", f"5:9:{HUGE}", "5:9", "a:b:c",
+                  ""),
+    "--model": ("uniform-cluster", "x"),
+    "--method": ("brute", "closed", "x"),
+    "--scope": ("tiling", "interleaver", "x"),
+    "--format": ("text", "json", "csv", "ascii", "svg", "x"),
+    "--shape": ("lee", "x", "file:{missing}", "file:{dir}", "file:{binary}",
+                "file:{repeated}", "file:{plus}"),
+    "--out": ("{dir}", "{missing}/out.txt", "{dir}/out.txt"),
+}
+# each subcommand: a valid argv tail and the flags it takes
+COMMANDS = {
+    "codewords": (("--q", "5"), ("--q", "--format", "--out")),
+    "gens": (("--q", "5"), ("--q", "--format", "--out")),
+    "distance": (("--q", "5"), ("--q", "--method", "--format", "--out")),
+    "tessellate": (("--q", "5"), ("--q", "--shape", "--format", "--out")),
+    "params": (("--q", "5"), ("--q", "--precision", "--format", "--out")),
+    "compare": ((), ("--q-range", "--precision", "--format", "--out")),
+    "interleave": (("--q", "5"), ("--q", "--out")),
+    "simulate": (("--q", "5", "--trials", "20"),
+                 ("--q", "--trials", "--seed", "--model", "--workers",
+                  "--format", "--out")),
+    "tables": (("T8",), ("--precision", "--format", "--out")),
+    "verify": (("--q-max", "7"), ("--scope", "--q-max", "--out")),
+}
+TOKENS = ("T1", "all", "T9", "x", "", "--help", "bogus")
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "binary.txt").write_bytes(bytes(range(256)))
+    (root / "repeated.txt").write_text("0 0\n0 0\n", encoding="utf-8")
+    (root / "plus.txt").write_text("0 0\n1 0\n-1 0\n0 1\n0 -1\n",
+                                   encoding="utf-8")
+    return {"missing": str(root / "missing"), "dir": str(root),
+            "binary": str(root / "binary.txt"),
+            "repeated": str(root / "repeated.txt"),
+            "plus": str(root / "plus.txt")}
+
+
+def _assert_documented_exit(argv, paths):
+    argv = [token.format(**paths) for token in argv]
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv
+
+
+def test_every_flag_value_on_a_valid_command_exits_with_a_documented_code(
+        fuzz_paths):
+    for command, (base, flags) in COMMANDS.items():
+        for flag in flags:
+            for value in FLAG_VALUES[flag]:
+                _assert_documented_exit([command, *base, flag, value],
+                                        fuzz_paths)
+
+
+@st.composite
+def fuzzed_argv(draw):
+    """A subcommand, maybe its valid tail, then flags, values and tokens."""
+    command = draw(st.sampled_from(sorted(COMMANDS) + ["bogus", ""]))
+    base, own = COMMANDS.get(command, ((), ()))
+    argv = [command, *base] if draw(st.booleans()) else [command]
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.integers(0, 4))
+        flag = draw(st.sampled_from(own if own and kind < 2
+                                    else sorted(FLAG_VALUES)))
+        if kind < 3:
+            argv += [flag, draw(st.sampled_from(FLAG_VALUES[flag]))]
+        elif kind == 3:
+            argv.append(flag)
+        else:
+            argv.append(draw(st.sampled_from(TOKENS)))
+    return argv
+
+
+@settings(PROPERTY, max_examples=300)
+@given(fuzzed_argv())
+def test_fuzzed_argv_exits_with_a_documented_code(fuzz_paths, argv):
+    _assert_documented_exit(argv, fuzz_paths)

@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import PROPERTY, burst_by_enumeration
-from toriclat import kernels
+from oracles import PROPERTY, burst_by_enumeration, simulate_by_streams
+from toriclat import _kernels_py, kernels
 from toriclat.interleaving import (build_interleaver, burst_exhaustive_report,
                                    burst_pattern_counts)
 from toriclat.lattice import TorusLattice
@@ -157,3 +157,68 @@ def test_burst_counts_match_the_oracle_on_corrupted_grids(edits):
         grid[index] = block
     assert burst_pattern_counts(q, cells, grid) == \
         burst_by_enumeration(q, cells, grid)
+
+
+def test_redraw_steps_past_rejected_outputs_like_below():
+    # the kernel's rejection path, which real thresholds (2^64 % n < n)
+    # make too rare to reach by sampling: half the outputs fall under 2^63
+    floor = 1 << 63
+    for state in range(50):
+        rng = SplitMix64(state)
+        v = rng.next_u64()
+        while v < floor:
+            v = rng.next_u64()
+        after, z = _kernels_py._redraw(state, floor)
+        assert z == v
+        assert SplitMix64(after).next_u64() == rng.next_u64()
+
+
+@st.composite
+def kernel_arguments(draw):
+    """simulate_trials arguments on a canonical or edited block grid."""
+    q, cells, grid = _interleaver_args(draw(st.sampled_from(range(5, 42, 2))))
+    grid = list(grid)
+    edits = draw(st.lists(st.tuples(st.integers(0, q * q - 1),
+                                    st.integers(0, q - 1)),
+                          max_size=3 * q))
+    for index, block in edits:
+        grid[index] = block
+    return (q, cells, grid, draw(st.integers(0, M64)),
+            draw(st.integers(0, 2 ** 40)), draw(st.integers(0, 300)),
+            draw(st.sampled_from((kernels.MODEL_ONE_PER_CELL,
+                                  kernels.MODEL_UNIFORM_CLUSTER))),
+            draw(st.integers(0, 3)), draw(st.sampled_from((0, 1, 5))))
+
+
+@PROPERTY
+@given(kernel_arguments())
+def test_pure_kernel_matches_the_stream_oracle(args):
+    assert kernels.pure.simulate_trials(*args) == simulate_by_streams(*args)
+
+
+def test_safe_anchor_skip_keeps_the_failures_of_a_corrupted_grid():
+    # the cluster at (0, 0) meets one block twice, so one-per-cell can fail
+    q = 7
+    cells, bad_grid = _corrupted_grid(q)
+    args = (q, cells, bad_grid, 3, 0, 2000, kernels.MODEL_ONE_PER_CELL, 1,
+            2000)
+    result = kernels.pure.simulate_trials(*args)
+    assert result[1] > 0
+    assert result == simulate_by_streams(*args)
+
+
+@pytest.mark.parametrize("model,t", [(2, 1), (0, -1), (1, -1)])
+def test_pure_kernel_rejects_unknown_models_and_negative_t(model, t):
+    # with t < 0 even an error-free trial would fail, which the early
+    # exits do not model
+    q, cells, grid = _interleaver_args(5)
+    with pytest.raises(ValueError):
+        kernels.pure.simulate_trials(q, cells, grid, 1, 0, 1, model, t)
+
+
+@pytest.mark.parametrize("q", [5, 13, 41])
+def test_one_per_cell_never_fails_on_the_canonical_grid(q):
+    q, cells, grid = _interleaver_args(q)
+    assert kernels.pure.simulate_trials(
+        q, cells, grid, 5, 0, 3000, kernels.MODEL_ONE_PER_CELL) == \
+        (3000, 0, [])
