@@ -53,23 +53,23 @@ class UsageError(Exception):
     pass
 
 
-def _non_negative_int(text: str) -> int:
-    """argparse type for non-negative integers; --precision and --seed
-    add their own bounds."""
+def _int_at_least(text: str, low: int) -> int:
+    """Parse an integer option value of at least low, for argparse types;
+    --precision and --seed add their own upper bounds."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
     return value
 
 
 def _precision(text: str) -> int:
     """argparse type for --precision; past 100 places a double shows no
     more information, and huge counts make float formatting raise."""
-    value = _non_negative_int(text)
+    value = _int_at_least(text, 0)
     if value > MAX_PRECISION:
         raise argparse.ArgumentTypeError(
             f"must be <= {MAX_PRECISION}, got {value}")
@@ -78,10 +78,16 @@ def _precision(text: str) -> int:
 
 def _seed(text: str) -> int:
     """argparse type for --seed; seeds wider than 64 bits would alias."""
-    value = _non_negative_int(text)
+    value = _int_at_least(text, 0)
     if value >> 64:
         raise argparse.ArgumentTypeError(f"must be < 2^64, got {value}")
     return value
+
+
+def _workers(text: str) -> int:
+    """argparse type for --workers, which is accepted for compatibility
+    and changes nothing; all trials run in one pass."""
+    return _int_at_least(text, 1)
 
 
 def _parse_q_range(text: str) -> list[int]:
@@ -329,7 +335,7 @@ def cmd_simulate(args) -> int:
     lattice = _lattice(args.q)
     try:
         stats = interleaving.simulate(lattice, args.trials, args.seed,
-                                      model=args.model, workers=args.workers)
+                                      model=args.model)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     if args.format == "csv":
@@ -503,7 +509,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="interleaved code vs baselines")
     p.add_argument("--q-range", default="5:17:2",
-                   help="start:stop:step, stop inclusive")
+                   help="start:stop:step, stop inclusive; a negative "
+                        "start needs the = form, --q-range=-5:17:2")
     p.add_argument("--precision", type=_precision, default=5,
                    help="decimal places, 0..100")
     _add_common(p, ("text", "json", "csv"))
@@ -522,7 +529,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=(interleaving.MODEL_ONE_PER_CELL,
                             interleaving.MODEL_UNIFORM_CLUSTER),
                    default=interleaving.MODEL_ONE_PER_CELL)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_workers, default=1,
+                   help="accepted for compatibility; changes nothing")
     _add_common(p, ("json", "csv"), default_format="json")
     p.set_defaults(func=cmd_simulate)
 

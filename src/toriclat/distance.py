@@ -77,11 +77,6 @@ def min_distance_closed_form(lattice: TorusLattice) -> int:
     return 3 if lattice.n <= 4 else 4
 
 
-def min_distance(lattice: TorusLattice) -> int:
-    """Closed-form distance for the code on the given lattice."""
-    return min_distance_closed_form(lattice)
-
-
 def distance_report(lattice: TorusLattice) -> DistanceReport:
     """Brute-force report for the canonical code on the lattice."""
     return min_distance_bruteforce(codewords(lattice))

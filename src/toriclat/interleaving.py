@@ -25,18 +25,11 @@ from math import prod
 
 from . import kernels
 from .codes import codewords
+from .kernels import MODEL_ONE_PER_CELL, MODEL_UNIFORM_CLUSTER
 from .lattice import (SLOT_LEFT, SLOT_TOP, Cell, Edge, TorusLattice,
                       coset_label)
 from .rng import M64, stream
 from .tessellation import Polyomino, canonical_polyomino
-
-MODEL_ONE_PER_CELL = "one-per-cell"
-MODEL_UNIFORM_CLUSTER = "uniform-cluster"
-
-_MODEL_IDS = {
-    MODEL_ONE_PER_CELL: kernels.MODEL_ONE_PER_CELL,
-    MODEL_UNIFORM_CLUSTER: kernels.MODEL_UNIFORM_CLUSTER,
-}
 
 
 @dataclass(frozen=True)
@@ -243,27 +236,25 @@ def _replay_trial(lattice: TorusLattice, shape: Polyomino, seed: int,
 
 
 def simulate(lattice: TorusLattice, trials: int, seed: int,
-             model: str = MODEL_ONE_PER_CELL, t: int = 1, workers: int = 1,
+             model: str = MODEL_ONE_PER_CELL, t: int = 1,
              max_exemplars: int = 5) -> SimulationStats:
     """Sample random cluster-error trials and count correctable ones.
 
     Trial i draws from an independent stream derived from (seed, i), so
     the statistics do not depend on how trials are split up; all of them
-    run in one kernel call, and workers is only validated.  one-per-cell
-    picks none/top/left uniformly per cluster cell; uniform-cluster draws
-    q of the cluster's 2q edges without replacement, which can err both
-    slots of one cell and thereby overflow a block.
+    run in one kernel call.  one-per-cell picks none/top/left uniformly
+    per cluster cell; uniform-cluster draws q of the cluster's 2q edges
+    without replacement, which can err both slots of one cell and thereby
+    overflow a block.  An unknown model raises ValueError.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if model not in _MODEL_IDS:
-        raise ValueError(f"unknown model {model!r}")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     mapping = build_interleaver(lattice)
+    # called through the module so that a tracer patching
+    # toriclat.kernels.simulate_trials sees the call
     correctable, failures, failing = kernels.simulate_trials(
         lattice.q, mapping.shape.cells, mapping.block_grid, seed & M64, 0,
-        trials, _MODEL_IDS[model], t, max_exemplars)
+        trials, model, t, max_exemplars)
     exemplars = tuple(
         FailureExemplar(i, _replay_trial(lattice, mapping.shape, seed, i, model))
         for i in failing)

@@ -3,11 +3,10 @@
 Trial i of a simulation draws from stream(seed, i), so aggregate results
 are bit-identical whether trials run serially, chunked, or across any
 number of workers, and a trial may stop drawing once its outcome is
-known without changing any other trial.  The pure kernel
-(_kernels_py.simulate_trials) inlines this generator's steps on local
-ints, and the compiled kernel implements it in C; both must agree value
-for value.  tests/oracles.simulate_by_streams draws through stream() and
-holds the pure kernel to it.
+known without changing any other trial.  The trial kernel
+(kernels.simulate_trials) inlines this generator's steps on local ints;
+tests/oracles.simulate_by_streams draws through stream() and holds the
+kernel to it value for value.
 """
 
 from __future__ import annotations

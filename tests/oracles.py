@@ -13,6 +13,7 @@ from itertools import product
 from hypothesis import settings, strategies as st
 
 from toriclat.codes import generates_same_code
+from toriclat.kernels import MODEL_ONE_PER_CELL, MODEL_UNIFORM_CLUSTER
 from toriclat.rng import stream
 from toriclat.tessellation import Polyomino
 
@@ -115,7 +116,7 @@ def simulate_by_streams(q, cells, block_grid, seed, start, count, model,
     """The trial kernel's specification: every draw through rng.stream.
 
     Same arguments and (correctable, failures, failing) result as
-    toriclat._kernels_py.simulate_trials.
+    toriclat.kernels.simulate_trials.
     """
     ncells = len(cells)
     nedges = 2 * ncells
@@ -128,18 +129,18 @@ def simulate_by_streams(q, cells, block_grid, seed, start, count, model,
         blocks = [block_grid[((ay + py) % q) * q + (ax + px) % q]
                   for px, py in cells]
         counts = [0] * q
-        if model == 0:
+        if model == MODEL_ONE_PER_CELL:
             for i in range(ncells):
                 if rng.below(3):
                     counts[blocks[i]] += 1
-        elif model == 1:
+        elif model == MODEL_UNIFORM_CLUSTER:
             perm = list(range(nedges))
             for i in range(ncells):
                 j = i + rng.below(nedges - i)
                 perm[i], perm[j] = perm[j], perm[i]
                 counts[blocks[perm[i] >> 1]] += 1
         else:
-            raise ValueError(f"unknown model {model}")
+            raise ValueError(f"unknown model {model!r}")
         if max(counts) <= t:
             correctable += 1
         elif len(failing) < max_record:

@@ -210,6 +210,13 @@ def test_compare_q_range_is_inclusive(capsys):
     assert qs == [5, 7, 9, 11, 13, 15, 17]
 
 
+def test_compare_negative_range_start_takes_the_equals_form(capsys):
+    # a separate value starting with "-" would be read as an option
+    code, out = run(capsys, "compare", "--q-range=-5:7:2", "--format", "json")
+    assert code == 0
+    assert [row["q"] for row in json.loads(out)] == [5, 7]
+
+
 def test_compare_bad_range_is_a_usage_error(capsys):
     code, _ = run(capsys, "compare", "--q-range", "5-17")
     assert code == 2
@@ -262,6 +269,8 @@ def test_simulate_zero_trials_is_a_usage_error(capsys):
     ["params", "--q", "5", "--precision", str(10 ** 20)],
     ["simulate", "--q", "5", "--trials", "10", "--seed", "-1"],
     ["simulate", "--q", "5", "--trials", "10", "--seed", str(2 ** 64)],
+    ["simulate", "--q", "5", "--trials", "10", "--workers", "0"],
+    ["simulate", "--q", "5", "--trials", "10", "--workers", "-2"],
 ])
 def test_out_of_range_options_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import PROPERTY, burst_by_enumeration, simulate_by_streams
-from toriclat import _kernels_py, kernels
+from toriclat import interleaving, kernels
 from toriclat.interleaving import (build_interleaver, burst_exhaustive_report,
                                    burst_pattern_counts)
 from toriclat.lattice import TorusLattice
@@ -52,27 +52,34 @@ def _interleaver_args(q):
     return q, mapping.shape.cells, mapping.block_grid
 
 
-needs_compiled = pytest.mark.skipif(
-    kernels.compiled is None, reason="compiled kernels not built")
-
-
-@needs_compiled
-@pytest.mark.parametrize("model", [0, 1])
-def test_backends_agree_on_simulation(model):
-    q, cells, grid = _interleaver_args(5)
-    pure = kernels.pure.simulate_trials(q, cells, grid, 42, 0, 2000, model)
-    comp = kernels.compiled.simulate_trials(q, cells, grid, 42, 0, 2000, model)
-    assert pure == comp
-
-
-@needs_compiled
-def test_backends_agree_on_chunked_simulation():
+def test_chunked_runs_reproduce_the_whole_run():
     q, cells, grid = _interleaver_args(7)
-    whole = kernels.pure.simulate_trials(q, cells, grid, 9, 0, 1000, 1)
-    parts = [kernels.compiled.simulate_trials(q, cells, grid, 9, s, 250, 1)
+    model = kernels.MODEL_UNIFORM_CLUSTER
+    whole = kernels.simulate_trials(q, cells, grid, 9, 0, 1000, model)
+    parts = [kernels.simulate_trials(q, cells, grid, 9, s, 250, model)
              for s in (0, 250, 500, 750)]
     assert whole[0] == sum(p[0] for p in parts)
     assert whole[1] == sum(p[1] for p in parts)
+    assert len(whole[2]) == 5
+    assert whole[2] == [i for p in parts for i in p[2]][:5]
+
+
+def test_the_benchmark_sees_the_kernel_backend_and_its_calls(monkeypatch):
+    # benchmark results carry kernels.BACKEND and are compared only when
+    # it matches; its tracer times the kernel by patching the module
+    # attribute, which a from-import in interleaving would bypass
+    assert kernels.BACKEND == "python"
+    real = kernels.simulate_trials
+    calls = []
+
+    def traced(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr("toriclat.kernels.simulate_trials", traced)
+    stats = interleaving.simulate(TorusLattice(5), trials=20, seed=1)
+    assert len(calls) == 1
+    assert stats.correctable + stats.failures == 20
 
 
 def _burst_by_is_correctable(q, shape, mapping):
@@ -168,7 +175,7 @@ def test_redraw_steps_past_rejected_outputs_like_below():
         v = rng.next_u64()
         while v < floor:
             v = rng.next_u64()
-        after, z = _kernels_py._redraw(state, floor)
+        after, z = kernels._redraw(state, floor)
         assert z == v
         assert SplitMix64(after).next_u64() == rng.next_u64()
 
@@ -193,7 +200,7 @@ def kernel_arguments(draw):
 @PROPERTY
 @given(kernel_arguments())
 def test_pure_kernel_matches_the_stream_oracle(args):
-    assert kernels.pure.simulate_trials(*args) == simulate_by_streams(*args)
+    assert kernels.simulate_trials(*args) == simulate_by_streams(*args)
 
 
 def test_safe_anchor_skip_keeps_the_failures_of_a_corrupted_grid():
@@ -202,23 +209,25 @@ def test_safe_anchor_skip_keeps_the_failures_of_a_corrupted_grid():
     cells, bad_grid = _corrupted_grid(q)
     args = (q, cells, bad_grid, 3, 0, 2000, kernels.MODEL_ONE_PER_CELL, 1,
             2000)
-    result = kernels.pure.simulate_trials(*args)
+    result = kernels.simulate_trials(*args)
     assert result[1] > 0
     assert result == simulate_by_streams(*args)
 
 
-@pytest.mark.parametrize("model,t", [(2, 1), (0, -1), (1, -1)])
+@pytest.mark.parametrize("model,t", [
+    ("bogus", 1), (kernels.MODEL_ONE_PER_CELL, -1),
+    (kernels.MODEL_UNIFORM_CLUSTER, -1)])
 def test_pure_kernel_rejects_unknown_models_and_negative_t(model, t):
     # with t < 0 even an error-free trial would fail, which the early
     # exits do not model
     q, cells, grid = _interleaver_args(5)
     with pytest.raises(ValueError):
-        kernels.pure.simulate_trials(q, cells, grid, 1, 0, 1, model, t)
+        kernels.simulate_trials(q, cells, grid, 1, 0, 1, model, t)
 
 
 @pytest.mark.parametrize("q", [5, 13, 41])
 def test_one_per_cell_never_fails_on_the_canonical_grid(q):
     q, cells, grid = _interleaver_args(q)
-    assert kernels.pure.simulate_trials(
+    assert kernels.simulate_trials(
         q, cells, grid, 5, 0, 3000, kernels.MODEL_ONE_PER_CELL) == \
         (3000, 0, [])
