@@ -16,7 +16,7 @@ from pathlib import Path
 from . import interleaving, tables
 from .codes import codewords, generator_set
 from .distance import distance_report, min_distance_closed_form
-from .lattice import TorusLattice
+from .lattice import SLOT_LEFT, SLOT_TOP, TorusLattice
 from .params import (CodeParams, RateGain, bmd_params, compare,
                      interleaved_params, kitaev_params, rate_gain,
                      toric_code_params)
@@ -29,13 +29,21 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 MAX_PRECISION = 100
+STDOUT_SLICE = 1 << 16  # characters per stdout write
 
 
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
-        sys.stdout.write(text)
+        # Unbuffered (PYTHONUNBUFFERED), the text layer drops the rest of
+        # a short write unnoticed, so a reader that leaves mid-document
+        # shows only as the failure of a later write.
+        for i in range(0, len(text), STDOUT_SLICE):
+            sys.stdout.write(text[i:i + STDOUT_SLICE])
+        # flushed here, so that a closed pipe is reported as an i/o error
+        # and not as an ignored exception at interpreter shutdown
+        sys.stdout.flush()
 
 
 def _json(payload) -> str:
@@ -307,11 +315,25 @@ def cmd_compare(args) -> int:
 def cmd_interleave(args) -> int:
     lattice = _lattice(args.q)
     mapping = interleaving.build_interleaver(lattice)
-    payload = {"q": args.q,
-               "map": [[i, e.x, e.y, e.slot]
-                       for i, e in enumerate(mapping.stream_to_edge)]}
-    _emit(_json(payload), args.out)
+    _emit(_map_json(mapping), args.out)
     return EXIT_OK
+
+
+def _map_json(mapping: interleaving.InterleaverMap) -> str:
+    """{"q": q, "map": [[i, x, y, slot], ...]} as json.dumps(indent=2)
+    prints it, formatted a block of stream positions at a time."""
+    parts = [f'{{\n  "q": {mapping.lattice.q},\n  "map": [\n']
+    i = 0
+    for cells in mapping.block_cells():
+        xy = [f"{x},\n      {y},\n      " for x, y in cells]
+        for slot in (SLOT_TOP, SLOT_LEFT):
+            parts.append(",\n".join(
+                [f"    [\n      {k},\n      {c}{slot}\n    ]"
+                 for k, c in enumerate(xy, i)]))
+            parts.append(",\n")
+            i += len(xy)
+    parts[-1] = "\n  ]\n}\n"  # in place of the last separator
+    return "".join(parts)
 
 
 def _stats_payload(stats: interleaving.SimulationStats) -> dict:

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from math import prod
+from typing import Iterator
 
 from . import kernels
-from .codes import codewords
 from .kernels import MODEL_ONE_PER_CELL, MODEL_UNIFORM_CLUSTER
 from .lattice import (SLOT_LEFT, SLOT_TOP, Cell, Edge, TorusLattice,
                       coset_label)
@@ -45,16 +45,23 @@ class InterleaverMap:
     def block_size(self) -> int:
         return 2 * self.lattice.q
 
+    def block_cells(self) -> Iterator[list[Cell]]:
+        """Each block's q cells in stream order, block by block.
+
+        Block b holds c_b + k*(1, g) mod q for k = 0..q-1; its stream
+        positions take the top edges of these cells, then the left edges.
+        """
+        q, g = self.lattice.q, self.lattice.g
+        for bx, by in self.shape.cells:
+            yield [((bx + k) % q, (by + k * g) % q) for k in range(q)]
+
     @cached_property
     def stream_to_edge(self) -> tuple[Edge, ...]:
         """The torus edge at each stream position, block by block."""
-        q = self.lattice.q
-        code = codewords(self.lattice).codewords
         edges: list[Edge] = []
-        for bx, by in self.shape.cells:
-            cells_b = [((bx + kx) % q, (by + ky) % q) for kx, ky in code]
-            edges.extend(Edge(x, y, SLOT_TOP) for x, y in cells_b)
-            edges.extend(Edge(x, y, SLOT_LEFT) for x, y in cells_b)
+        for cells in self.block_cells():
+            edges.extend(Edge(x, y, SLOT_TOP) for x, y in cells)
+            edges.extend(Edge(x, y, SLOT_LEFT) for x, y in cells)
         return tuple(edges)
 
     def edge_block(self, edge: Edge) -> int:

@@ -164,23 +164,29 @@ _SYMBOLS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 
 def render_ascii(tiling: Tiling) -> str:
-    """Character grid of anchor indices, one row per lattice row."""
+    """Character grid of anchor indices, one row per lattice row.
+
+    With at most 36 anchors a cell is one symbol; past that, it is its
+    right-aligned anchor number, the q labels being formatted once.
+    """
     q = tiling.lattice.q
-    rows = []
     if q <= len(_SYMBOLS):
-        for y in range(q):
-            rows.append("".join(_SYMBOLS[tiling.cell_to_anchor[y * q + x]]
-                                for x in range(q)))
+        labels, sep = _SYMBOLS, ""
     else:
         width = len(str(q - 1))
-        for y in range(q):
-            rows.append(" ".join(f"{tiling.cell_to_anchor[y * q + x]:>{width}}"
-                                 for x in range(q)))
-    return "\n".join(rows) + "\n"
+        labels, sep = [f"{a:>{width}}" for a in range(q)], " "
+    anchors = tiling.cell_to_anchor
+    return "".join(
+        sep.join(map(labels.__getitem__, anchors[y * q:(y + 1) * q])) + "\n"
+        for y in range(q))
 
 
 def render_svg(tiling: Tiling, cell_size: int = 24) -> str:
-    """SVG with one unit square per cell, colored by anchor, X on anchors."""
+    """SVG with one unit square per cell, colored by anchor, X on anchors.
+
+    A cell's rect is a per-column head, the row's y and a per-anchor
+    tail, each formatted once; the rects are joined a row at a time.
+    """
     q = tiling.lattice.q
     s = cell_size
     side = q * s
@@ -188,13 +194,14 @@ def render_svg(tiling: Tiling, cell_size: int = 24) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{side}" '
         f'height="{side}" viewBox="0 0 {side} {side}">'
     ]
+    heads = [f'<rect x="{x * s}" y="' for x in range(q)]
+    tails = [f'" width="{s}" height="{s}" fill="hsl({(360 * a) // q},65%,72%)"'
+             ' stroke="black" stroke-width="1"/>' for a in range(q)]
+    anchors = tiling.cell_to_anchor
     for y in range(q):
-        for x in range(q):
-            anchor = tiling.cell_to_anchor[y * q + x]
-            hue = (360 * anchor) // q
-            parts.append(
-                f'<rect x="{x * s}" y="{y * s}" width="{s}" height="{s}" '
-                f'fill="hsl({hue},65%,72%)" stroke="black" stroke-width="1"/>')
+        ys = str(y * s)
+        parts.append("\n".join([head + ys + tail for head, tail in zip(
+            heads, map(tails.__getitem__, anchors[y * q:(y + 1) * q]))]))
     pad = s // 4
     for kx, ky in tiling.anchors.codewords:
         x0, y0 = kx * s + pad, ky * s + pad
@@ -203,5 +210,5 @@ def render_svg(tiling: Tiling, cell_size: int = 24) -> str:
                      f'stroke="black" stroke-width="2"/>')
         parts.append(f'<line x1="{x0}" y1="{y1}" x2="{x1}" y2="{y0}" '
                      f'stroke="black" stroke-width="2"/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts.append("</svg>\n")
+    return "\n".join(parts)

@@ -4,18 +4,21 @@ The package derives the tiling test, the generator set, the interleaver's
 block grid and the burst sweep from coset labels, and its trial kernel
 skips draws that cannot change a trial's outcome.  These functions get
 the same answers the direct way, by enumeration or by making every draw,
-so the tests can hold the fast paths to them.  The hypothesis settings
-and shape strategy shared by those property tests live here too.
+so the tests can hold the fast paths to them.  The renderers' cell-by-cell
+loops are kept here too, as the reference for the row-at-a-time ones.
+The hypothesis settings and shape strategy shared by the property tests
+live here as well.
 """
 
 from itertools import product
 
-from hypothesis import settings, strategies as st
+from hypothesis import assume, settings, strategies as st
 
 from toriclat.codes import generates_same_code
 from toriclat.kernels import MODEL_ONE_PER_CELL, MODEL_UNIFORM_CLUSTER
+from toriclat.lattice import TorusLattice, coset_label
 from toriclat.rng import stream
-from toriclat.tessellation import Polyomino
+from toriclat.tessellation import _SYMBOLS, Polyomino
 
 # every property test replays the same examples on every run
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
@@ -25,14 +28,26 @@ STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 
 @st.composite
-def odd_q_and_polyomino(draw, q_values=range(5, 34, 2)):
-    """An odd q and a q-cell polyomino grown one edge neighbour at a time."""
+def odd_q_and_polyomino(draw, q_values=range(5, 34, 2), fundamental=False):
+    """An odd q and a q-cell polyomino grown one edge neighbour at a time.
+
+    With fundamental set, each new cell takes a coset label not yet used,
+    so the shape tiles the torus; a growth with no such neighbour left is
+    rejected.
+    """
     q = draw(st.sampled_from(q_values))
+    g = TorusLattice(q).g
     cells = {(0, 0)}
+    labels = {0}
     while len(cells) < q:
-        frontier = sorted({(x + dx, y + dy) for x, y in cells
-                           for dx, dy in STEPS} - cells)
-        cells.add(draw(st.sampled_from(frontier)))
+        frontier = sorted(
+            (x, y) for x, y in {(x + dx, y + dy) for x, y in cells
+                                for dx, dy in STEPS} - cells
+            if not fundamental or coset_label(q, g, x, y) not in labels)
+        assume(frontier)
+        x, y = draw(st.sampled_from(frontier))
+        cells.add((x, y))
+        labels.add(coset_label(q, g, x, y))
     return q, Polyomino.from_cells(cells)
 
 
@@ -146,3 +161,47 @@ def simulate_by_streams(q, cells, block_grid, seed, start, count, model,
         elif len(failing) < max_record:
             failing.append(trial)
     return correctable, count - correctable, failing
+
+
+def ascii_by_cells(tiling):
+    """render_ascii's specification: one formatted label per cell."""
+    q = tiling.lattice.q
+    rows = []
+    if q <= len(_SYMBOLS):
+        for y in range(q):
+            rows.append("".join(_SYMBOLS[tiling.cell_to_anchor[y * q + x]]
+                                for x in range(q)))
+    else:
+        width = len(str(q - 1))
+        for y in range(q):
+            rows.append(" ".join(f"{tiling.cell_to_anchor[y * q + x]:>{width}}"
+                                 for x in range(q)))
+    return "\n".join(rows) + "\n"
+
+
+def svg_by_cells(tiling, cell_size=24):
+    """render_svg's specification: one formatted rect per cell."""
+    q = tiling.lattice.q
+    s = cell_size
+    side = q * s
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{side}" '
+        f'height="{side}" viewBox="0 0 {side} {side}">'
+    ]
+    for y in range(q):
+        for x in range(q):
+            anchor = tiling.cell_to_anchor[y * q + x]
+            hue = (360 * anchor) // q
+            parts.append(
+                f'<rect x="{x * s}" y="{y * s}" width="{s}" height="{s}" '
+                f'fill="hsl({hue},65%,72%)" stroke="black" stroke-width="1"/>')
+    pad = s // 4
+    for kx, ky in tiling.anchors.codewords:
+        x0, y0 = kx * s + pad, ky * s + pad
+        x1, y1 = (kx + 1) * s - pad, (ky + 1) * s - pad
+        parts.append(f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y1}" '
+                     f'stroke="black" stroke-width="2"/>')
+        parts.append(f'<line x1="{x0}" y1="{y1}" x2="{x1}" y2="{y0}" '
+                     f'stroke="black" stroke-width="2"/>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"

@@ -1,14 +1,21 @@
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import toriclat
 from oracles import PROPERTY
 from reference_data import GRID_MARKS, INTERLEAVED_ROWS
 from toriclat.cli import main
+from toriclat.interleaving import build_interleaver
+from toriclat.lattice import TorusLattice
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -304,9 +311,93 @@ def test_verify_bad_qmax_is_usage_error(capsys):
     assert code == 2
 
 
-def test_out_to_unwritable_path_is_io_error(capsys):
-    code, _ = run(capsys, "tables", "T1", "--out", "/nonexistent/dir/t1.txt")
+def _assert_one_io_error_line(code, err):
     assert code == 3
+    assert err.startswith("i/o error: ") and err.endswith("\n")
+    assert err.count("\n") == 1, err
+
+
+def test_out_to_unwritable_path_is_io_error(capsys):
+    for argv in (["tables", "T1"], ["interleave", "--q", "7"],
+                 ["tessellate", "--q", "7", "--format", "svg"]):
+        code = main(argv + ["--out", "/nonexistent/dir/out.txt"])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        _assert_one_io_error_line(code, captured.err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["interleave", "--q", "7"],
+    ["tessellate", "--q", "7", "--format", "svg"],
+])
+def test_stdout_and_out_file_carry_the_same_bytes(tmp_path, capsys, argv):
+    target = tmp_path / "out"
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert main(argv + ["--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == out.encode("utf-8")
+
+
+def _child_env(unbuffered):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(toriclat.__file__).parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_pipe_is_an_io_error(unbuffered):
+    # like `interleave --q 101 | head -c 10`: the map (about 0.9 MB) is far
+    # longer than a pipe holds, so the writer sees the reader go away
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "toriclat", "interleave", "--q", "101"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=_child_env(unbuffered))
+    try:
+        assert proc.stdout.read(10) == b'{\n  "q": 1'
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    _assert_one_io_error_line(code, err)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_stdout_pipe_closed_before_a_short_output_is_an_io_error(unbuffered):
+    # the map (3.6 kB) fits in the stdout buffer, so with buffering on
+    # only the flush meets the closed pipe
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "toriclat", "interleave", "--q", "7"],
+            stdout=write_end, stderr=subprocess.PIPE,
+            env=_child_env(unbuffered), timeout=60)
+    finally:
+        os.close(write_end)
+    _assert_one_io_error_line(proc.returncode, proc.stderr.decode())
+
+
+@pytest.mark.parametrize("q", range(5, 42, 2))
+def test_interleave_prints_the_stream_map_as_indented_json(capsys, q):
+    mapping = build_interleaver(TorusLattice(q))
+    payload = {"q": q, "map": [[i, e.x, e.y, e.slot]
+                               for i, e in enumerate(mapping.stream_to_edge)]}
+    code, out = run(capsys, "interleave", "--q", str(q))
+    assert code == 0
+    assert out == json.dumps(payload, indent=2) + "\n"
+
+
+def test_svg_golden_is_the_benchmark_digest():
+    digests = json.loads((Path(__file__).parents[1] / "perfbench"
+                          / "digests.json").read_text(encoding="utf-8"))
+    data = (GOLDEN / "tessellate_q7.svg").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == \
+        digests["tessellate --q 7 --format svg"]
 
 
 @pytest.mark.parametrize("name,argv", [
@@ -317,6 +408,7 @@ def test_out_to_unwritable_path_is_io_error(capsys):
     ("simulate_q5_uniform.json",
      ["simulate", "--q", "5", "--trials", "200", "--seed", "42",
       "--model", "uniform-cluster"]),
+    ("tessellate_q7.svg", ["tessellate", "--q", "7", "--format", "svg"]),
 ])
 def test_golden_outputs_are_stable(capsys, name, argv):
     code, out = run(capsys, *argv)

@@ -4,8 +4,8 @@ import xml.etree.ElementTree as ET
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import (PROPERTY, fundamental_by_pairs_and_cover,
-                     odd_q_and_polyomino)
+from oracles import (PROPERTY, ascii_by_cells, fundamental_by_pairs_and_cover,
+                     odd_q_and_polyomino, svg_by_cells)
 from toriclat.codes import codewords
 from toriclat.lattice import TorusLattice
 from toriclat.tessellation import (Polyomino, canonical_polyomino,
@@ -175,3 +175,33 @@ def test_svg_rendering_structure():
     lines = [el for el in root.iter() if el.tag.endswith("line")]
     assert len(rects) == 81
     assert len(lines) == 2 * 9  # one X (two strokes) per anchor
+
+
+@pytest.mark.parametrize("q", range(5, 42, 2))
+def test_svg_matches_the_cell_by_cell_oracle_on_canonical_shapes(q):
+    lat = TorusLattice(q)
+    tiling = tessellate(codewords(lat), canonical_polyomino(lat))
+    assert render_svg(tiling) == svg_by_cells(tiling)
+
+
+def test_svg_matches_the_cell_by_cell_oracle_on_the_lee_sphere():
+    lat = TorusLattice(5)
+    tiling = tessellate(codewords(lat), lee_sphere(1))
+    assert render_svg(tiling) == svg_by_cells(tiling)
+    assert render_svg(tiling, cell_size=10) == svg_by_cells(tiling, 10)
+
+
+@PROPERTY
+@given(odd_q_and_polyomino(fundamental=True))
+def test_svg_matches_the_cell_by_cell_oracle_on_random_shapes(q_and_shape):
+    q, shape = q_and_shape
+    tiling = tessellate(codewords(TorusLattice(q)), shape)
+    assert render_svg(tiling) == svg_by_cells(tiling)
+
+
+# up to q = 36 a cell is one symbol; past it, a padded number
+@pytest.mark.parametrize("q", [5, 35, 37, 41])
+def test_ascii_matches_the_cell_by_cell_oracle(q):
+    lat = TorusLattice(q)
+    tiling = tessellate(codewords(lat), canonical_polyomino(lat))
+    assert render_ascii(tiling) == ascii_by_cells(tiling)
