@@ -6,41 +6,48 @@ form), the polyomino fundamental regions that tile the lattice, the
 [[2q, 2, d]] / [[2q**2, 2q, t=q]] parameter families with rate and gain
 comparisons, and the burst-error interleaver with its correctability
 guarantees.
-"""
 
-from .codes import (CodewordSet, GeneratorSet, codewords, generates_same_code,
-                    generator_set, is_perfect, is_sum_of_two_squares,
-                    verify_determinant)
-from .distance import (DistanceReport, distance_report, mannheim_weight,
-                       min_distance_bruteforce, min_distance_closed_form,
-                       move_vectors)
-from .interleaving import (BurstCluster, FailureExemplar, InterleaverMap,
-                           SimulationStats, build_interleaver,
-                           burst_correctability_exhaustive, deinterleave,
-                           is_correctable, simulate)
-from .lattice import (SLOT_LEFT, SLOT_TOP, Cell, Edge, TorusLattice, Vector,
-                      symmetric_residue)
-from .params import (CodeParams, ComparisonRow, RateGain, bmd_params, compare,
-                     interleaved_params, kitaev_params, rate_gain,
-                     toric_code_params)
-from .tessellation import (Polyomino, Tiling, canonical_polyomino,
-                           is_fundamental_region, lee_sphere, render_ascii,
-                           render_svg, tessellate)
+The public names below are re-exported from their layers, and a layer is
+imported when one of its names is first looked up (PEP 562), so that
+`import toriclat` by itself imports no layer.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BurstCluster", "Cell", "CodeParams", "CodewordSet", "ComparisonRow",
-    "DistanceReport", "Edge", "FailureExemplar", "GeneratorSet",
-    "InterleaverMap", "Polyomino", "RateGain", "SLOT_LEFT", "SLOT_TOP",
-    "SimulationStats", "Tiling", "TorusLattice", "Vector", "bmd_params",
-    "build_interleaver", "burst_correctability_exhaustive",
-    "canonical_polyomino", "codewords", "compare", "deinterleave",
-    "distance_report", "generates_same_code", "generator_set",
-    "interleaved_params", "is_correctable", "is_fundamental_region",
-    "is_perfect", "is_sum_of_two_squares", "kitaev_params", "lee_sphere",
-    "mannheim_weight", "min_distance_bruteforce", "min_distance_closed_form",
-    "move_vectors", "rate_gain", "render_ascii", "render_svg", "simulate",
-    "symmetric_residue", "tessellate", "toric_code_params",
-    "verify_determinant",
-]
+_LAYERS = {
+    "codes": ("CodewordSet", "GeneratorSet", "codewords",
+              "generates_same_code", "generator_set", "is_perfect",
+              "is_sum_of_two_squares", "verify_determinant"),
+    "distance": ("DistanceReport", "distance_report", "mannheim_weight",
+                 "min_distance_bruteforce", "min_distance_closed_form",
+                 "move_vectors"),
+    "interleaving": ("BurstCluster", "FailureExemplar", "InterleaverMap",
+                     "SimulationStats", "build_interleaver",
+                     "burst_correctability_exhaustive", "deinterleave",
+                     "is_correctable", "simulate"),
+    "lattice": ("SLOT_LEFT", "SLOT_TOP", "Cell", "Edge", "TorusLattice",
+                "Vector", "symmetric_residue"),
+    "params": ("CodeParams", "ComparisonRow", "RateGain", "bmd_params",
+               "compare", "interleaved_params", "kitaev_params", "rate_gain",
+               "toric_code_params"),
+    "tessellation": ("Polyomino", "Tiling", "canonical_polyomino",
+                     "is_fundamental_region", "lee_sphere", "render_ascii",
+                     "render_svg", "tessellate"),
+}
+_LAYER_OF = {name: layer for layer, names in _LAYERS.items() for name in names}
+
+__all__ = sorted(_LAYER_OF)
+
+
+def __getattr__(name: str):
+    layer = _LAYER_OF.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    value = getattr(import_module(f"{__name__}.{layer}"), name)
+    globals()[name] = value  # later lookups find it without this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

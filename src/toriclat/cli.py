@@ -3,6 +3,9 @@
 Subcommands: codewords, gens, distance, tessellate, params, compare,
 interleave, simulate, tables, verify.  Exit codes: 0 success, 1 property
 violation, 2 usage error, 3 I/O error.
+
+Each command imports the layers it runs when it runs, so that a process
+loads and compiles only those.
 """
 
 from __future__ import annotations
@@ -10,18 +13,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import interleaving, tables
-from .codes import codewords, generator_set
-from .distance import distance_report, min_distance_closed_form
-from .lattice import SLOT_LEFT, SLOT_TOP, TorusLattice
-from .params import (CodeParams, RateGain, bmd_params, compare,
-                     interleaved_params, kitaev_params, rate_gain,
-                     toric_code_params)
-from .tessellation import (Polyomino, canonical_polyomino, lee_sphere,
-                           render_ascii, render_svg, tessellate)
+if TYPE_CHECKING:
+    from .interleaving import InterleaverMap, SimulationStats
+    from .lattice import TorusLattice
+    from .params import CodeParams, RateGain
+    from .tessellation import Polyomino
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -30,6 +29,11 @@ EXIT_IO = 3
 
 MAX_PRECISION = 100
 STDOUT_SLICE = 1 << 16  # characters per stdout write
+
+# tables.TABLE_IDS and kernels.MODEL_ONE_PER_CELL, MODEL_UNIFORM_CLUSTER,
+# spelled out so that building the parser imports no layer
+TABLE_IDS = ("T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8")
+MODELS = ("one-per-cell", "uniform-cluster")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -51,6 +55,7 @@ def _json(payload) -> str:
 
 
 def _lattice(q: int) -> TorusLattice:
+    from .lattice import TorusLattice
     try:
         return TorusLattice(q)
     except ValueError as exc:
@@ -138,6 +143,8 @@ def _csv_param_row(q: int, params: CodeParams, rg: RateGain,
 
 
 def cmd_codewords(args) -> int:
+    from . import tables
+    from .codes import codewords
     lattice = _lattice(args.q)
     code = codewords(lattice)
     if args.format == "json":
@@ -153,6 +160,7 @@ def cmd_codewords(args) -> int:
 
 
 def cmd_gens(args) -> int:
+    from .codes import generator_set
     lattice = _lattice(args.q)
     vectors = sorted(generator_set(lattice).vectors)
     if args.format == "json":
@@ -166,6 +174,7 @@ def cmd_gens(args) -> int:
 
 
 def cmd_distance(args) -> int:
+    from .distance import distance_report, min_distance_closed_form
     lattice = _lattice(args.q)
     payload: dict = {"q": args.q, "method": args.method}
     lines = [f"q = {args.q}"]
@@ -202,6 +211,7 @@ def cmd_distance(args) -> int:
 
 
 def _load_shape(selector: str, lattice: TorusLattice) -> Polyomino:
+    from .tessellation import Polyomino, canonical_polyomino, lee_sphere
     if selector == "canonical":
         return canonical_polyomino(lattice)
     if selector == "lee":
@@ -229,6 +239,8 @@ def _load_shape(selector: str, lattice: TorusLattice) -> Polyomino:
 
 
 def cmd_tessellate(args) -> int:
+    from .codes import codewords
+    from .tessellation import render_ascii, render_svg, tessellate
     lattice = _lattice(args.q)
     shape = _load_shape(args.shape, lattice)
     try:
@@ -245,6 +257,9 @@ def cmd_tessellate(args) -> int:
 
 
 def cmd_params(args) -> int:
+    from . import tables
+    from .params import (bmd_params, interleaved_params, kitaev_params,
+                         rate_gain, toric_code_params)
     lattice = _lattice(args.q)
     entries = [toric_code_params(lattice), interleaved_params(lattice),
                kitaev_params(args.q), bmd_params(args.q)]
@@ -273,6 +288,8 @@ def cmd_params(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from . import tables
+    from .params import compare
     qs = [q for q in _parse_q_range(args.q_range) if q >= 5 and q % 2 == 1]
     if not qs:
         raise UsageError(f"q-range {args.q_range!r} selects no odd q >= 5")
@@ -313,15 +330,17 @@ def cmd_compare(args) -> int:
 
 
 def cmd_interleave(args) -> int:
+    from .interleaving import build_interleaver
     lattice = _lattice(args.q)
-    mapping = interleaving.build_interleaver(lattice)
+    mapping = build_interleaver(lattice)
     _emit(_map_json(mapping), args.out)
     return EXIT_OK
 
 
-def _map_json(mapping: interleaving.InterleaverMap) -> str:
+def _map_json(mapping: InterleaverMap) -> str:
     """{"q": q, "map": [[i, x, y, slot], ...]} as json.dumps(indent=2)
     prints it, formatted a block of stream positions at a time."""
+    from .lattice import SLOT_LEFT, SLOT_TOP
     parts = [f'{{\n  "q": {mapping.lattice.q},\n  "map": [\n']
     i = 0
     for cells in mapping.block_cells():
@@ -336,7 +355,7 @@ def _map_json(mapping: interleaving.InterleaverMap) -> str:
     return "".join(parts)
 
 
-def _stats_payload(stats: interleaving.SimulationStats) -> dict:
+def _stats_payload(stats: SimulationStats) -> dict:
     return {
         "q": stats.q,
         "model": stats.model,
@@ -354,10 +373,10 @@ def _stats_payload(stats: interleaving.SimulationStats) -> dict:
 
 
 def cmd_simulate(args) -> int:
+    from .interleaving import simulate
     lattice = _lattice(args.q)
     try:
-        stats = interleaving.simulate(lattice, args.trials, args.seed,
-                                      model=args.model)
+        stats = simulate(lattice, args.trials, args.seed, model=args.model)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     if args.format == "csv":
@@ -371,6 +390,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_tables(args) -> int:
+    from . import tables
     ids = list(tables.TABLE_IDS) if args.which == "all" else [args.which]
     if args.format == "json":
         payload = []
@@ -386,6 +406,7 @@ def cmd_tables(args) -> int:
 
 
 def _jsonable(value):
+    from fractions import Fraction
     if isinstance(value, Fraction):
         return {"exact": str(value), "value": float(value)}
     if isinstance(value, dict):
@@ -399,6 +420,8 @@ def _jsonable(value):
 
 
 def _verify_distance(q_max: int, report) -> bool:
+    from .distance import distance_report, min_distance_closed_form
+    from .lattice import TorusLattice
     ok = True
     for q in range(5, q_max + 1, 2):
         lattice = TorusLattice(q)
@@ -420,7 +443,9 @@ def _verify_distance(q_max: int, report) -> bool:
 
 
 def _verify_tiling(q_max: int, report) -> bool:
-    from .tessellation import is_fundamental_region
+    from .codes import codewords
+    from .lattice import TorusLattice
+    from .tessellation import canonical_polyomino, is_fundamental_region
     ok = True
     for q in range(5, q_max + 1, 2):
         lattice = TorusLattice(q)
@@ -439,6 +464,8 @@ def _verify_tiling(q_max: int, report) -> bool:
 
 
 def _verify_interleaver(q_max: int, report) -> bool:
+    from . import interleaving
+    from .lattice import TorusLattice
     ok = True
     for q in range(5, q_max + 1, 2):
         lattice = TorusLattice(q)
@@ -547,17 +574,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--model",
-                   choices=(interleaving.MODEL_ONE_PER_CELL,
-                            interleaving.MODEL_UNIFORM_CLUSTER),
-                   default=interleaving.MODEL_ONE_PER_CELL)
+    p.add_argument("--model", choices=MODELS, default=MODELS[0])
     p.add_argument("--workers", type=_workers, default=1,
                    help="accepted for compatibility; changes nothing")
     _add_common(p, ("json", "csv"), default_format="json")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("tables", help="regenerate the reference tables")
-    p.add_argument("which", choices=tables.TABLE_IDS + ("all",))
+    p.add_argument("which", choices=TABLE_IDS + ("all",))
     p.add_argument("--precision", type=_precision, default=5,
                    help="decimal places of the text tables (0..100); "
                         "--format json ignores it and prints each value "

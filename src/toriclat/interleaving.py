@@ -18,6 +18,7 @@ within a block, so the canonical (1, g) layout is the one exposed.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -78,8 +79,11 @@ def build_interleaver(
 
     The shape must be a fundamental region; the default is the canonical
     tiling shape.  Block b is the coset of the shape's cell b, so a cell's
-    block is read off its coset label.  Raises ValueError when two shape
-    cells share a coset or the shape does not have q cells.
+    block is read off its coset label.  Along a row the label
+    L(x, y) = (y - g*x) mod q steps by -g mod q, so row y of the grid is
+    every such step of the label-indexed blocks, read from label y on.
+    Raises ValueError when two shape cells share a coset or the shape
+    does not have q cells.
     """
     q, g = lattice.q, lattice.g
     if shape is None:
@@ -94,8 +98,12 @@ def build_interleaver(
     if len(block_of_label) != q:
         raise ValueError(
             f"shape has {len(block_of_label)} cells, expected q={q}")
-    block_grid = tuple(block_of_label[coset_label(q, g, x, y)]
-                       for x, y in lattice.cells())
+    step = -g % q  # 3, as g = q - 3
+    cycle = [block_of_label[label] for label in range(q)] * (step + 1)
+    grid: list[int] = []
+    for y in range(q):
+        grid += cycle[y:y + step * q:step]
+    block_grid = tuple(grid)
     return InterleaverMap(lattice, shape, shape.cells, block_grid)
 
 
@@ -157,7 +165,7 @@ def burst_pattern_counts(
         for ax in range(q):
             blocks = [block_grid[((ay + py) % q) * q + (ax + px) % q]
                       for px, py in cells]
-            passing = prod(1 + 2 * blocks.count(b) for b in set(blocks))
+            passing = prod(1 + 2 * m for m in Counter(blocks).values())
             failures += total - passing
             if passing < total and witness is None:
                 witness = (ax, ay, min(

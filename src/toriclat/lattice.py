@@ -69,9 +69,6 @@ class TorusLattice:
         q = self.q
         return ((x, y) for y in range(q) for x in range(q))
 
-    def cell_index(self, cell: Cell) -> int:
-        return cell[1] * self.q + cell[0]
-
     def translate(self, cell: Cell, vec: Vector) -> Cell:
         """Move a cell by a signed vector, wrapping around the torus."""
         q = self.q

@@ -8,12 +8,13 @@ No table value is hardcoded here -- everything is recomputed.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .codes import codewords, generator_set
 from .lattice import TorusLattice
-from .params import interleaved_params, rate_gain
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 TABLE_IDS = ("T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8")
 
@@ -60,6 +61,9 @@ def generator_rows(qs=_GENERATOR_QS) -> dict[int, list[tuple[int, int]]]:
 
 
 def interleaved_rows(qs=_INTERLEAVED_QS) -> list[dict[str, Any]]:
+    # imported here, so that the grids (codewords' text output) do not
+    # load params and fractions
+    from .params import interleaved_params, rate_gain
     rows = []
     for q in qs:
         params = interleaved_params(TorusLattice(q))

@@ -134,9 +134,6 @@ class Tiling:
     anchors: CodewordSet
     cell_to_anchor: tuple[int, ...]
 
-    def anchor_of(self, cell: Cell) -> int:
-        return self.cell_to_anchor[self.lattice.cell_index(cell)]
-
     def region(self, k: int) -> tuple[Cell, ...]:
         """The q cells assigned to anchor index k, row-major."""
         q = self.lattice.q

@@ -91,6 +91,15 @@ def block_grid_by_cover(lattice, shape):
     return tuple(grid)
 
 
+def block_grid_by_labels(lattice, shape):
+    """The block of each cell's coset label, one label per cell."""
+    q, g = lattice.q, lattice.g
+    block_of_label = {coset_label(q, g, bx, by): b
+                      for b, (bx, by) in enumerate(shape.cells)}
+    return tuple(block_of_label[coset_label(q, g, x, y)]
+                 for x, y in lattice.cells())
+
+
 def generators_by_span(lattice):
     """Candidates (c, g*c mod q) and (c, g*c mod q - q) that span the code."""
     q, g = lattice.q, lattice.g

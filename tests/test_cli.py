@@ -1,4 +1,6 @@
+import argparse
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -13,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 import toriclat
 from oracles import PROPERTY
 from reference_data import GRID_MARKS, INTERLEAVED_ROWS
-from toriclat.cli import main
+from toriclat import kernels, tables
+from toriclat.cli import build_parser, main
 from toriclat.interleaving import build_interleaver
 from toriclat.lattice import TorusLattice
 
@@ -415,6 +418,96 @@ def test_golden_outputs_are_stable(capsys, name, argv):
     assert code == 0
     expected = (GOLDEN / name).read_text(encoding="utf-8")
     assert out == expected
+
+
+# Import contract.  A command imports only the layers it runs, and
+# `import toriclat` imports none until one of its names is looked up.
+
+def _imported_modules(argv):
+    """Modules a fresh `python -m toriclat ...` process imports, read off
+    its -X importtime report."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "toriclat", *argv],
+        capture_output=True, text=True, env=_child_env(False), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return {line.rsplit("|", 1)[1].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+@pytest.mark.parametrize("argv", [
+    ["codewords", "--q", "5"],
+    ["verify", "--scope", "distance", "--q-max", "9"],
+    ["verify", "--scope", "tiling", "--q-max", "9"],
+    ["gens", "--q", "7"],
+])
+def test_commands_import_only_their_layers(argv):
+    loaded = _imported_modules(argv)
+    assert "toriclat.cli" in loaded and "toriclat.codes" in loaded
+    assert not loaded & {"toriclat.interleaving", "toriclat.params",
+                         "fractions"}
+
+
+def test_import_toriclat_loads_no_layer():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, toriclat; print(sorted("
+         "m for m in sys.modules if m.startswith('toriclat.')))"],
+        capture_output=True, text=True, env=_child_env(False), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+# the package's public names and their layers, as they were when
+# toriclat/__init__ imported every layer eagerly
+PUBLIC_NAMES = {
+    "codes": ("CodewordSet", "GeneratorSet", "codewords",
+              "generates_same_code", "generator_set", "is_perfect",
+              "is_sum_of_two_squares", "verify_determinant"),
+    "distance": ("DistanceReport", "distance_report", "mannheim_weight",
+                 "min_distance_bruteforce", "min_distance_closed_form",
+                 "move_vectors"),
+    "interleaving": ("BurstCluster", "FailureExemplar", "InterleaverMap",
+                     "SimulationStats", "build_interleaver",
+                     "burst_correctability_exhaustive", "deinterleave",
+                     "is_correctable", "simulate"),
+    "lattice": ("SLOT_LEFT", "SLOT_TOP", "Cell", "Edge", "TorusLattice",
+                "Vector", "symmetric_residue"),
+    "params": ("CodeParams", "ComparisonRow", "RateGain", "bmd_params",
+               "compare", "interleaved_params", "kitaev_params", "rate_gain",
+               "toric_code_params"),
+    "tessellation": ("Polyomino", "Tiling", "canonical_polyomino",
+                     "is_fundamental_region", "lee_sphere", "render_ascii",
+                     "render_svg", "tessellate"),
+}
+
+
+def test_public_names_resolve_to_their_layers():
+    assert sorted(toriclat.__all__) == sorted(
+        name for names in PUBLIC_NAMES.values() for name in names)
+    for layer, names in PUBLIC_NAMES.items():
+        module = importlib.import_module(f"toriclat.{layer}")
+        for name in names:
+            assert getattr(toriclat, name) is getattr(module, name), name
+    assert set(toriclat.__all__) <= set(dir(toriclat))
+    namespace: dict = {}
+    exec("from toriclat import *", namespace)
+    assert set(toriclat.__all__) <= set(namespace)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        toriclat.no_such_name
+
+
+def _choices(command, dest):
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    action = next(a for a in sub.choices[command]._actions if a.dest == dest)
+    return action.choices, action.default
+
+
+def test_parser_choices_are_the_layers_constants():
+    assert _choices("tables", "which")[0] == tables.TABLE_IDS + ("all",)
+    assert _choices("simulate", "model") == (
+        (kernels.MODEL_ONE_PER_CELL, kernels.MODEL_UNIFORM_CLUSTER),
+        kernels.MODEL_ONE_PER_CELL)
 
 
 

@@ -4,7 +4,8 @@ from math import comb, sqrt
 import pytest
 from hypothesis import given
 
-from oracles import PROPERTY, block_grid_by_cover, odd_q_and_polyomino
+from oracles import (PROPERTY, block_grid_by_cover, block_grid_by_labels,
+                     odd_q_and_polyomino)
 from toriclat.interleaving import (MODEL_ONE_PER_CELL, MODEL_UNIFORM_CLUSTER,
                                    build_interleaver,
                                    burst_correctability_exhaustive,
@@ -73,11 +74,18 @@ def test_build_rejects_non_fundamental_shapes():
         build_interleaver(TorusLattice(5), tetromino)
 
 
-@pytest.mark.parametrize("q", range(5, 42, 2))
+@pytest.mark.parametrize("q", [*range(5, 42, 2), 301])
 def test_block_grid_matches_the_cover_oracle_on_canonical_shapes(q):
     lat = TorusLattice(q)
     assert build_interleaver(lat).block_grid == \
         block_grid_by_cover(lat, canonical_polyomino(lat))
+
+
+def test_sliced_block_grid_matches_the_label_built_grid_at_large_q():
+    lat = TorusLattice(1001)
+    shape = canonical_polyomino(lat)
+    assert build_interleaver(lat, shape).block_grid == \
+        block_grid_by_labels(lat, shape)
 
 
 @PROPERTY
