@@ -1,14 +1,15 @@
 """Interleaving of 2*q**2 stream qubits across the torus edges.
 
 Stream positions are split into q blocks of 2q.  Block b owns both edge
-slots of the q cells {c_b + k*(1, g) mod q}, where c_b is the b-th cell
-of the tiling shape in row-major order (c_0 = (0, 0) for the canonical
-shape): positions [2qb, 2qb+q) take the top edges in k order, positions
-[2qb+q, 2qb+2q) the left edges.  Because the shape's cells lie in
-pairwise distinct cosets, any translate of the shape touches every block
-in exactly one cell, so a cluster of errors confined to one translate
-with at most one errored edge per cell leaves at most one error per
-block -- correctable by a per-block capability of t = 1.
+slots of the q cells {c_b + k*(1, g) mod q}, the coset of c_b, the b-th
+cell of the tiling shape in row-major order (c_0 = (0, 0) for the
+canonical shape), as the tiling's `coset_rows` reads it off: positions
+[2qb, 2qb+q) take the top edges in k order, positions [2qb+q, 2qb+2q)
+the left edges.  Because the shape's cells lie in pairwise distinct
+cosets, any translate of the shape touches every block in exactly one
+cell, so a cluster of errors confined to one translate with at most one
+errored edge per cell leaves at most one error per block -- correctable
+by a per-block capability of t = 1.
 
 The block partition depends only on the code, not on which generator
 enumerates it: every generating vector spans the same subgroup, hence
@@ -21,16 +22,16 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from math import prod
 from typing import Iterator
 
 from . import kernels
+from .codes import codewords
 from .kernels import MODEL_ONE_PER_CELL, MODEL_UNIFORM_CLUSTER
-from .lattice import (SLOT_LEFT, SLOT_TOP, Cell, Edge, TorusLattice,
-                      coset_label)
+from .lattice import SLOT_LEFT, SLOT_TOP, Cell, Edge, TorusLattice
 from .rng import M64, stream
-from .tessellation import Polyomino, canonical_polyomino
+from .tessellation import Polyomino, canonical_polyomino, coset_rows
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,6 @@ class InterleaverMap:
 
     lattice: TorusLattice
     shape: Polyomino
-    anchors: tuple[Cell, ...]
     block_grid: tuple[int, ...]
 
     @property
@@ -66,7 +66,9 @@ class InterleaverMap:
         return tuple(edges)
 
     def edge_block(self, edge: Edge) -> int:
-        return self.block_grid[edge.y * self.lattice.q + edge.x]
+        """The block of an edge's cell, its coordinates taken mod q."""
+        q = self.lattice.q
+        return self.block_grid[(edge.y % q) * q + edge.x % q]
 
     def stream_block(self, index: int) -> int:
         return index // self.block_size
@@ -78,39 +80,21 @@ def build_interleaver(
     """Lay the 2*q**2 stream positions onto the torus edges block by block.
 
     The shape must be a fundamental region; the default is the canonical
-    tiling shape.  Block b is the coset of the shape's cell b, so a cell's
-    block is read off its coset label.  Along a row the label
-    L(x, y) = (y - g*x) mod q steps by -g mod q, so row y of the grid is
-    every such step of the label-indexed blocks, read from label y on.
-    Raises ValueError when two shape cells share a coset or the shape
-    does not have q cells.
+    tiling shape.  Block b is the coset of the shape's cell b, so the
+    block grid is the rows of `coset_rows`, whose ValueError a shape that
+    is not a fundamental region raises.
     """
-    q, g = lattice.q, lattice.g
     if shape is None:
         shape = canonical_polyomino(lattice)
-    block_of_label: dict[int, int] = {}
-    for b, (bx, by) in enumerate(shape.cells):
-        first = block_of_label.setdefault(coset_label(q, g, bx, by), b)
-        if first != b:
-            raise ValueError(
-                "shape is not a fundamental region: blocks "
-                f"{first} and {b} collide on cell ({bx % q}, {by % q})")
-    if len(block_of_label) != q:
-        raise ValueError(
-            f"shape has {len(block_of_label)} cells, expected q={q}")
-    step = -g % q  # 3, as g = q - 3
-    cycle = [block_of_label[label] for label in range(q)] * (step + 1)
-    grid: list[int] = []
-    for y in range(q):
-        grid += cycle[y:y + step * q:step]
-    block_grid = tuple(grid)
-    return InterleaverMap(lattice, shape, shape.cells, block_grid)
+    rows = coset_rows(codewords(lattice), shape)
+    return InterleaverMap(lattice, shape, tuple(chain.from_iterable(rows)))
 
 
 def deinterleave(mapping: InterleaverMap, errors) -> list[int]:
-    """Per-block error counts for a set of errored edges."""
-    counts = [0] * mapping.lattice.q
-    for edge in set(errors):
+    """Per-block error counts for a set of errored edges, taken mod q."""
+    q = mapping.lattice.q
+    counts = [0] * q
+    for edge in {Edge(x % q, y % q, slot) for x, y, slot in errors}:
         counts[mapping.edge_block(edge)] += 1
     return counts
 

@@ -1,14 +1,16 @@
-"""Polyomino fundamental regions and the coset-transversal tiling test.
+"""Polyomino fundamental regions and the coset decomposition they give.
 
 A polyomino with q cells tiles the torus under translation by the q
 codewords exactly when its cells lie in pairwise distinct cosets of the
-code, i.e. when their q coset labels are distinct.
+code, i.e. when their q coset labels are distinct.  Then every torus
+cell lies in the coset of one shape cell (`coset_rows`), which gives
+both the tiling and the interleaver's block grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .codes import CodewordSet, codewords
 from .lattice import Cell, TorusLattice, coset_label
@@ -141,20 +143,40 @@ class Tiling:
                      if a == k)
 
 
-def tessellate(code: CodewordSet, shape: Polyomino) -> Tiling:
-    """Tile the torus by the shape; every cell gets a unique anchor index."""
+def coset_rows(code: CodewordSet, shape: Polyomino) -> Iterator[list[int]]:
+    """Row by row, the index of the shape cell whose coset holds each cell.
+
+    A shape that is not a fundamental region raises ValueError naming two
+    of its cells in one coset.  Along a row the label L(x, y) = (y - g*x)
+    mod q steps by -g mod q, so row y is every such step of the
+    label-indexed owners from label y on; the rows share their ints.
+    """
     ok, witness = is_fundamental_region(code, shape)
     if not ok:
         raise ValueError(
             f"shape is not a fundamental region: cells {witness[0]} and "
             f"{witness[1]} lie in the same coset")
-    lattice = code.lattice
-    q = lattice.q
-    assign = [-1] * (q * q)
-    for k, (kx, ky) in enumerate(code.codewords):
-        for px, py in shape.cells:
-            assign[((ky + py) % q) * q + (kx + px) % q] = k
-    return Tiling(lattice, shape, code, tuple(assign))
+    q, g = code.lattice.q, code.lattice.g
+    owner = [0] * q
+    for b, (bx, by) in enumerate(shape.cells):
+        owner[coset_label(q, g, bx, by)] = b
+    step = -g % q  # 3, as g = q - 3
+    cycle = owner * (step + 1)
+    return (cycle[y:y + step * q:step] for y in range(q))
+
+
+def tessellate(code: CodewordSet, shape: Polyomino) -> Tiling:
+    """Tile the torus by the shape; every cell gets a unique anchor index.
+
+    A cell in the coset of shape cell (px, py) is that cell moved by the
+    codeword k*(1, g) in column k = (x - px) mod q, its anchor index.
+    """
+    q = code.lattice.q
+    px = [x for x, _ in shape.cells]
+    ks = list(range(q))  # one shared int object per anchor
+    assign = tuple(ks[(x - px[b]) % q] for row in coset_rows(code, shape)
+                   for x, b in enumerate(row))
+    return Tiling(code.lattice, shape, code, assign)
 
 
 _SYMBOLS = "0123456789abcdefghijklmnopqrstuvwxyz"

@@ -1,13 +1,13 @@
 """Brute-force reference implementations for the tests.
 
-The package derives the tiling test, the generator set, the interleaver's
-block grid and the burst sweep from coset labels, and its trial kernel
-skips draws that cannot change a trial's outcome.  These functions get
-the same answers the direct way, by enumeration or by making every draw,
-so the tests can hold the fast paths to them.  The renderers' cell-by-cell
-loops are kept here too, as the reference for the row-at-a-time ones.
-The hypothesis settings and shape strategy shared by the property tests
-live here as well.
+The package derives the tiling test, the tiling, the generator set, the
+interleaver's block grid and the burst sweep from coset labels, and its
+trial kernel skips draws that cannot change a trial's outcome.  These
+functions get the same answers the direct way, by enumeration or by
+making every draw, so the tests can hold the fast paths to them.  The
+renderers' cell-by-cell loops are kept here too, as the reference for
+the row-at-a-time ones.  The hypothesis settings and shape strategy
+shared by the property tests live here as well.
 """
 
 from itertools import product
@@ -74,6 +74,16 @@ def fundamental_by_pairs_and_cover(code, cells):
     covers = covered == [1] * (q * q)
     assert covers == (witness is None), "coset and exact-cover checks disagree"
     return covers, witness
+
+
+def tiling_by_translates(code, shape):
+    """Mark every codeword translate of the shape with its anchor index."""
+    q = code.lattice.q
+    assign = [-1] * (q * q)
+    for k, (kx, ky) in enumerate(code.codewords):
+        for px, py in shape.cells:
+            assign[((ky + py) % q) * q + (kx + px) % q] = k
+    return tuple(assign)
 
 
 def block_grid_by_cover(lattice, shape):

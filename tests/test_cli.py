@@ -58,6 +58,24 @@ def test_distance_both_methods_agree(capsys):
     assert cands == {(1, -3): 4, (3, 2): 5}
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_distance_disagreement_emits_one_document_and_exits_1(
+        capsys, monkeypatch, fmt):
+    from toriclat import distance
+    code, agreed = run(capsys, "distance", "--q", "11", "--format", fmt)
+    assert code == 0
+    monkeypatch.setattr(distance, "min_distance_closed_form", lambda lat: 5)
+    code, out = run(capsys, "distance", "--q", "11", "--format", fmt)
+    assert code == 1
+    if fmt == "json":
+        payload = json.loads(out)
+        assert payload["closed"]["distance"] == 5
+        assert payload["agree"] is False
+    else:
+        assert out == agreed.replace("(closed form) = 4", "(closed form) = 5"
+                                     ).replace("agree: True", "agree: False")
+
+
 def test_distance_single_methods(capsys):
     code, out = run(capsys, "distance", "--q", "9", "--method", "brute")
     assert code == 0

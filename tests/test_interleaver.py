@@ -6,6 +6,7 @@ from hypothesis import given
 
 from oracles import (PROPERTY, block_grid_by_cover, block_grid_by_labels,
                      odd_q_and_polyomino)
+from toriclat.codes import codewords
 from toriclat.interleaving import (MODEL_ONE_PER_CELL, MODEL_UNIFORM_CLUSTER,
                                    build_interleaver,
                                    burst_correctability_exhaustive,
@@ -14,7 +15,8 @@ from toriclat.interleaving import (MODEL_ONE_PER_CELL, MODEL_UNIFORM_CLUSTER,
                                    double_slot_uncorrectable_exhaustive,
                                    is_correctable, simulate)
 from toriclat.lattice import SLOT_LEFT, SLOT_TOP, Edge, TorusLattice
-from toriclat.tessellation import Polyomino, canonical_polyomino, lee_sphere
+from toriclat.tessellation import (Polyomino, canonical_polyomino, lee_sphere,
+                                   tessellate)
 
 
 def test_stream_placement_q5():
@@ -29,8 +31,9 @@ def test_stream_placement_q5():
 
 def test_block_anchors_are_the_shape_cells_starting_at_origin():
     mapping = build_interleaver(TorusLattice(7))
-    assert mapping.anchors == mapping.shape.cells
-    assert mapping.anchors[0] == (0, 0)
+    assert mapping.shape.cells[0] == (0, 0)
+    assert [mapping.block_grid[y * 7 + x]
+            for x, y in mapping.shape.cells] == list(range(7))
 
 
 @pytest.mark.parametrize("q", range(5, 42, 2))
@@ -66,8 +69,8 @@ def test_every_cluster_translate_hits_all_blocks_once(q):
 def test_build_rejects_non_fundamental_shapes():
     # (1,2) - (0,0) is a codeword, so these two cells share a coset
     ell = Polyomino.from_cells([(0, 0), (1, 0), (1, 1), (1, 2), (0, 2)])
-    with pytest.raises(ValueError, match=r"blocks 0 and 4 collide on cell "
-                                         r"\(1, 2\)"):
+    with pytest.raises(ValueError, match=r"cells \(0, 0\) and \(1, 2\) lie "
+                                         r"in the same coset"):
         build_interleaver(TorusLattice(5), ell)
     tetromino = Polyomino.from_cells([(0, 0), (1, 0), (0, 1), (1, 1)])
     with pytest.raises(ValueError, match="shape has 4 cells"):
@@ -95,10 +98,12 @@ def test_block_grid_matches_the_cover_oracle_on_random_shapes(q_and_shape):
     lat = TorusLattice(q)
     try:
         expected = block_grid_by_cover(lat, shape)
-    except ValueError as exc:
+    except ValueError:
         with pytest.raises(ValueError) as got:
             build_interleaver(lat, shape)
-        assert str(got.value) == str(exc)
+        with pytest.raises(ValueError) as tiling:
+            tessellate(codewords(lat), shape)
+        assert str(got.value) == str(tiling.value)
     else:
         assert build_interleaver(lat, shape).block_grid == expected
 
@@ -128,6 +133,21 @@ def test_deinterleave_round_trip_recovers_per_block_counts():
         base = block * mapping.block_size
         errors.update(mapping.stream_to_edge[base + i] for i in range(count))
     assert deinterleave(mapping, errors) == target
+
+
+def test_edges_are_taken_mod_q():
+    mapping = build_interleaver(TorusLattice(5))
+    for spelt, edge in ((Edge(-1, 0, SLOT_TOP), Edge(4, 0, SLOT_TOP)),
+                        (Edge(5, 0, SLOT_TOP), Edge(0, 0, SLOT_TOP)),
+                        (Edge(0, 5, SLOT_LEFT), Edge(0, 0, SLOT_LEFT)),
+                        (Edge(-6, 13, SLOT_LEFT), Edge(4, 3, SLOT_LEFT))):
+        assert mapping.edge_block(spelt) == mapping.edge_block(edge)
+        assert deinterleave(mapping, {spelt}) == deinterleave(mapping, {edge})
+    assert mapping.edge_block(Edge(-1, 0, SLOT_TOP)) == 4
+    assert mapping.edge_block(Edge(5, 0, SLOT_TOP)) == 0
+    # two spellings of one edge are one error
+    twice = {Edge(4, 0, SLOT_TOP), Edge(-1, 5, SLOT_TOP)}
+    assert deinterleave(mapping, twice) == [0, 0, 0, 0, 1]
 
 
 def test_is_correctable():

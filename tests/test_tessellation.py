@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import (PROPERTY, ascii_by_cells, fundamental_by_pairs_and_cover,
-                     odd_q_and_polyomino, svg_by_cells)
+                     odd_q_and_polyomino, svg_by_cells, tiling_by_translates)
 from toriclat.codes import codewords
 from toriclat.lattice import TorusLattice
 from toriclat.tessellation import (Polyomino, canonical_polyomino,
@@ -139,6 +139,30 @@ def test_tessellation_partitions_the_grid(q):
     assert set(tiling.region(0)) == set(tiling.shape.cells)
 
 
+@pytest.mark.parametrize("q", [*range(5, 42, 2), 301])
+def test_anchor_grid_matches_the_translate_oracle_on_canonical_shapes(q):
+    code = codewords(TorusLattice(q))
+    shape = canonical_polyomino(code.lattice)
+    assert tessellate(code, shape).cell_to_anchor == \
+        tiling_by_translates(code, shape)
+
+
+def test_anchor_grid_matches_the_translate_oracle_on_the_lee_sphere():
+    code = codewords(TorusLattice(5))
+    assert tessellate(code, lee_sphere(1)).cell_to_anchor == \
+        tiling_by_translates(code, lee_sphere(1))
+
+
+@PROPERTY
+@given(odd_q_and_polyomino(fundamental=True))
+def test_anchor_grid_matches_the_translate_oracle_on_random_shapes(
+        q_and_shape):
+    q, shape = q_and_shape
+    code = codewords(TorusLattice(q))
+    assert tessellate(code, shape).cell_to_anchor == \
+        tiling_by_translates(code, shape)
+
+
 def test_full_rows_and_columns_are_transversals_of_a_perfect_code():
     lat = TorusLattice(5)
     code = codewords(lat)
@@ -152,7 +176,8 @@ def test_tessellate_rejects_non_fundamental_shapes():
     lat = TorusLattice(5)
     # (1,2) - (0,0) is a codeword, so these two cells share a coset
     bad = Polyomino.from_cells([(0, 0), (1, 0), (1, 1), (1, 2), (0, 2)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"cells \(0, 0\) and \(1, 2\) lie "
+                                         r"in the same coset"):
         tessellate(codewords(lat), bad)
 
 
