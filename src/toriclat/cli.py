@@ -11,6 +11,7 @@ loads and compiles only those.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -28,7 +29,7 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 MAX_PRECISION = 100
-STDOUT_SLICE = 1 << 16  # characters per stdout write
+STDOUT_SLICE = 1 << 16  # characters per write
 
 # tables.TABLE_IDS and kernels.MODEL_ONE_PER_CELL, MODEL_UNIFORM_CLUSTER,
 # spelled out so that building the parser imports no layer
@@ -36,18 +37,23 @@ TABLE_IDS = ("T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8")
 MODELS = ("one-per-cell", "uniform-cluster")
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        # Unbuffered (PYTHONUNBUFFERED), the text layer drops the rest of
-        # a short write unnoticed, so a reader that leaves mid-document
-        # shows only as the failure of a later write.
-        for i in range(0, len(text), STDOUT_SLICE):
-            sys.stdout.write(text[i:i + STDOUT_SLICE])
+def _emit(text: str | list[str], out: str | None) -> None:
+    """Write a document, whole or as a list of pieces, to --out or stdout.
+
+    Each piece goes out in STDOUT_SLICE slices, so no document is encoded
+    whole.  Unbuffered (PYTHONUNBUFFERED), the text layer drops the rest
+    of a short write unnoticed, so a reader that leaves mid-document
+    shows only as the failure of a later write.
+    """
+    pieces = [text] if isinstance(text, str) else text
+    with (open(out, "w", encoding="utf-8") if out
+          else contextlib.nullcontext(sys.stdout)) as f:
+        for piece in pieces:
+            for i in range(0, len(piece), STDOUT_SLICE):
+                f.write(piece[i:i + STDOUT_SLICE])
         # flushed here, so that a closed pipe is reported as an i/o error
         # and not as an ignored exception at interpreter shutdown
-        sys.stdout.flush()
+        f.flush()
 
 
 def _json(payload) -> str:
@@ -234,7 +240,7 @@ def _load_shape(selector: str, lattice: TorusLattice) -> Polyomino:
 
 def cmd_tessellate(args) -> int:
     from .codes import codewords
-    from .tessellation import render_ascii, render_svg, tessellate
+    from .tessellation import render_ascii, svg_rows, tessellate
     lattice = _lattice(args.q)
     shape = _load_shape(args.shape, lattice)
     try:
@@ -243,10 +249,9 @@ def cmd_tessellate(args) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VIOLATION
     if args.format == "svg":
-        text = render_svg(tiling)
+        _emit(svg_rows(tiling), args.out)
     else:  # ascii / text
-        text = render_ascii(tiling)
-    _emit(text, args.out)
+        _emit(render_ascii(tiling), args.out)
     return EXIT_OK
 
 
@@ -437,20 +442,14 @@ def _verify_distance(q_max: int, report) -> bool:
 
 
 def _verify_tiling(q_max: int, report) -> bool:
-    from .codes import codewords
     from .lattice import TorusLattice
-    from .tessellation import canonical_polyomino, is_fundamental_region
+    from .tessellation import canonical_polyomino
     ok = True
     for q in range(5, q_max + 1, 2):
-        lattice = TorusLattice(q)
-        shape = canonical_polyomino(lattice)
-        if shape.area != q:
-            report(f"FAIL tiling q={q}: shape has {shape.area} cells")
-            ok = False
-            continue
-        good, witness = is_fundamental_region(codewords(lattice), shape)
-        if not good:
-            report(f"FAIL tiling q={q}: cells {witness} share a coset")
+        try:  # it checks its shape with is_fundamental_region
+            canonical_polyomino(TorusLattice(q))
+        except RuntimeError as exc:
+            report(f"FAIL tiling q={q}: {exc}")
             ok = False
     if ok:
         report(f"ok tiling: canonical shapes tile all odd q in [5, {q_max}]")

@@ -200,34 +200,42 @@ def render_ascii(tiling: Tiling) -> str:
         for y in range(q))
 
 
-def render_svg(tiling: Tiling, cell_size: int = 24) -> str:
-    """SVG with one unit square per cell, colored by anchor, X on anchors.
+def svg_rows(tiling: Tiling, cell_size: int = 24) -> list[str]:
+    """The SVG of render_svg as pieces, each ending in a newline: the
+    header, the rects of each lattice row, one piece per anchor line and
+    the closing tag.
 
     A cell's rect is a per-column head, the row's y and a per-anchor
-    tail, each formatted once; the rects are joined a row at a time.
+    tail, each formatted once.
     """
     q = tiling.lattice.q
     s = cell_size
     side = q * s
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{side}" '
-        f'height="{side}" viewBox="0 0 {side} {side}">'
+        f'height="{side}" viewBox="0 0 {side} {side}">\n'
     ]
     heads = [f'<rect x="{x * s}" y="' for x in range(q)]
     tails = [f'" width="{s}" height="{s}" fill="hsl({(360 * a) // q},65%,72%)"'
-             ' stroke="black" stroke-width="1"/>' for a in range(q)]
+             ' stroke="black" stroke-width="1"/>\n' for a in range(q)]
     anchors = tiling.cell_to_anchor
     for y in range(q):
         ys = str(y * s)
-        parts.append("\n".join([head + ys + tail for head, tail in zip(
+        parts.append("".join([head + ys + tail for head, tail in zip(
             heads, map(tails.__getitem__, anchors[y * q:(y + 1) * q]))]))
     pad = s // 4
     for kx, ky in tiling.anchors.codewords:
         x0, y0 = kx * s + pad, ky * s + pad
         x1, y1 = (kx + 1) * s - pad, (ky + 1) * s - pad
         parts.append(f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y1}" '
-                     f'stroke="black" stroke-width="2"/>')
+                     f'stroke="black" stroke-width="2"/>\n')
         parts.append(f'<line x1="{x0}" y1="{y1}" x2="{x1}" y2="{y0}" '
-                     f'stroke="black" stroke-width="2"/>')
+                     f'stroke="black" stroke-width="2"/>\n')
     parts.append("</svg>\n")
-    return "\n".join(parts)
+    return parts
+
+
+def render_svg(tiling: Tiling, cell_size: int = 24) -> str:
+    """SVG with one unit square per cell, colored by anchor, X on anchors;
+    the pieces of svg_rows joined."""
+    return "".join(svg_rows(tiling, cell_size))

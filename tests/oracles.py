@@ -199,7 +199,8 @@ def ascii_by_cells(tiling):
 
 
 def svg_by_cells(tiling, cell_size=24):
-    """render_svg's specification: one formatted rect per cell."""
+    """The specification of render_svg and of svg_rows joined: one
+    formatted rect per cell."""
     q = tiling.lattice.q
     s = cell_size
     side = q * s

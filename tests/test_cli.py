@@ -327,6 +327,26 @@ def test_verify_passes(capsys):
     assert "negative control" in out
 
 
+def test_verify_reports_a_broken_canonical_shape_as_a_violation(
+        capsys, monkeypatch):
+    from toriclat import tessellation
+    real = tessellation.is_fundamental_region
+
+    def fails_at_7(code, shape):
+        if code.lattice.q == 7:
+            return False, shape.cells[:2]
+        return real(code, shape)
+
+    monkeypatch.setattr(tessellation, "is_fundamental_region", fails_at_7)
+    code = main(["verify", "--scope", "tiling", "--q-max", "11"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == (
+        "FAIL tiling q=7: internal error: canonical shape for q=7 is not a "
+        "fundamental region (witness ((0, 0), (1, 0)))\n")
+    assert captured.err == ""
+
+
 def test_verify_bad_qmax_is_usage_error(capsys):
     code, _ = run(capsys, "verify", "--q-max", "4")
     assert code == 2
@@ -350,6 +370,7 @@ def test_out_to_unwritable_path_is_io_error(capsys):
 @pytest.mark.parametrize("argv", [
     ["interleave", "--q", "7"],
     ["tessellate", "--q", "7", "--format", "svg"],
+    ["tessellate", "--q", "41", "--format", "svg"],
 ])
 def test_stdout_and_out_file_carry_the_same_bytes(tmp_path, capsys, argv):
     target = tmp_path / "out"
@@ -368,23 +389,38 @@ def _child_env(unbuffered):
     return env
 
 
-@pytest.mark.parametrize("unbuffered", [False, True])
-def test_closed_stdout_pipe_is_an_io_error(unbuffered):
-    # like `interleave --q 101 | head -c 10`: the map (about 0.9 MB) is far
-    # longer than a pipe holds, so the writer sees the reader go away
+def _read_then_close_stdout(argv, head, unbuffered):
+    """Run the command, read the head of its stdout, close the pipe and
+    return the exit code and stderr."""
     proc = subprocess.Popen(
-        [sys.executable, "-m", "toriclat", "interleave", "--q", "101"],
+        [sys.executable, "-m", "toriclat", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         env=_child_env(unbuffered))
     try:
-        assert proc.stdout.read(10) == b'{\n  "q": 1'
+        assert proc.stdout.read(len(head)) == head
         proc.stdout.close()
         code = proc.wait(timeout=60)
     finally:
         proc.kill()
     err = proc.stderr.read().decode()
     proc.stderr.close()
-    _assert_one_io_error_line(code, err)
+    return code, err
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_pipe_is_an_io_error(unbuffered):
+    # like `interleave --q 101 | head -c 10`: the map (about 0.9 MB) is far
+    # longer than a pipe holds, so the writer sees the reader go away
+    _assert_one_io_error_line(*_read_then_close_stdout(
+        ["interleave", "--q", "101"], b'{\n  "q": 1', unbuffered))
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_pipe_during_the_svg_rows_is_an_io_error(unbuffered):
+    # the SVG (about 1.1 MB) is written a lattice row at a time
+    _assert_one_io_error_line(*_read_then_close_stdout(
+        ["tessellate", "--q", "101", "--format", "svg"], b"<svg xmlns",
+        unbuffered))
 
 
 @pytest.mark.parametrize("unbuffered", [False, True])
@@ -401,6 +437,38 @@ def test_stdout_pipe_closed_before_a_short_output_is_an_io_error(unbuffered):
     finally:
         os.close(write_end)
     _assert_one_io_error_line(proc.returncode, proc.stderr.decode())
+
+
+# A child's ru_maxrss starts from the high-water mark of the process it
+# was forked from, so the command is started by a small launcher process
+# rather than by the test process, which may be larger than the command.
+PEAK_RSS_LAUNCHER = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def _peak_rss_bytes(argv):
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_LAUNCHER,
+         sys.executable, "-m", "toriclat", *argv],
+        capture_output=True, text=True, env=_child_env(False), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    code, maxrss = map(int, proc.stdout.split())
+    assert code == 0
+    return maxrss * (1 if sys.platform == "darwin" else 1024)
+
+
+def test_svg_is_written_without_a_whole_document_copy(tmp_path):
+    # the SVG is held once, as its row pieces, and written a slice at a
+    # time; a joined or encoded copy of the document would double it
+    target = tmp_path / "q301.svg"
+    extra = (_peak_rss_bytes(["tessellate", "--q", "301", "--format", "svg",
+                              "--out", str(target)])
+             - _peak_rss_bytes(["codewords", "--q", "5"]))
+    assert extra <= 1.5 * target.stat().st_size
 
 
 @pytest.mark.parametrize("q", range(5, 42, 2))

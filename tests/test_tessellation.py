@@ -10,7 +10,8 @@ from toriclat.codes import codewords
 from toriclat.lattice import TorusLattice
 from toriclat.tessellation import (Polyomino, canonical_polyomino,
                                    is_fundamental_region, lee_sphere,
-                                   render_ascii, render_svg, tessellate)
+                                   render_ascii, render_svg, svg_rows,
+                                   tessellate)
 
 
 def test_polyomino_normalization_and_validation():
@@ -202,26 +203,37 @@ def test_svg_rendering_structure():
     assert len(lines) == 2 * 9  # one X (two strokes) per anchor
 
 
+def _assert_svg_matches_the_oracle(tiling, cell_size=24):
+    expected = svg_by_cells(tiling, cell_size)
+    assert render_svg(tiling, cell_size) == expected
+    pieces = svg_rows(tiling, cell_size)
+    assert "".join(pieces) == expected
+    # the header, one piece per lattice row, two per anchor, the closing tag
+    q = tiling.lattice.q
+    assert len(pieces) == 1 + q + 2 * q + 1
+    assert all(piece.endswith("\n") for piece in pieces)
+    assert [piece.count("<rect ") for piece in pieces[1:q + 1]] == [q] * q
+
+
 @pytest.mark.parametrize("q", range(5, 42, 2))
 def test_svg_matches_the_cell_by_cell_oracle_on_canonical_shapes(q):
     lat = TorusLattice(q)
-    tiling = tessellate(codewords(lat), canonical_polyomino(lat))
-    assert render_svg(tiling) == svg_by_cells(tiling)
+    _assert_svg_matches_the_oracle(
+        tessellate(codewords(lat), canonical_polyomino(lat)))
 
 
 def test_svg_matches_the_cell_by_cell_oracle_on_the_lee_sphere():
     lat = TorusLattice(5)
     tiling = tessellate(codewords(lat), lee_sphere(1))
-    assert render_svg(tiling) == svg_by_cells(tiling)
-    assert render_svg(tiling, cell_size=10) == svg_by_cells(tiling, 10)
+    _assert_svg_matches_the_oracle(tiling)
+    _assert_svg_matches_the_oracle(tiling, cell_size=10)
 
 
 @PROPERTY
 @given(odd_q_and_polyomino(fundamental=True))
 def test_svg_matches_the_cell_by_cell_oracle_on_random_shapes(q_and_shape):
     q, shape = q_and_shape
-    tiling = tessellate(codewords(TorusLattice(q)), shape)
-    assert render_svg(tiling) == svg_by_cells(tiling)
+    _assert_svg_matches_the_oracle(tessellate(codewords(TorusLattice(q)), shape))
 
 
 # up to q = 36 a cell is one symbol; past it, a padded number
