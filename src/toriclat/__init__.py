@@ -15,21 +15,17 @@ imported when one of its names is first looked up (PEP 562), so that
 __version__ = "0.1.0"
 
 _LAYERS = {
-    "codes": ("CodewordSet", "GeneratorSet", "codewords",
-              "generates_same_code", "generator_set", "is_perfect",
-              "is_sum_of_two_squares", "verify_determinant"),
+    "codes": ("CodewordSet", "GeneratorSet", "codewords", "generator_set",
+              "is_perfect", "is_sum_of_two_squares", "verify_determinant"),
     "distance": ("DistanceReport", "distance_report", "mannheim_weight",
-                 "min_distance_bruteforce", "min_distance_closed_form",
-                 "move_vectors"),
+                 "min_distance_closed_form", "move_vectors"),
     "interleaving": ("BurstCluster", "FailureExemplar", "InterleaverMap",
-                     "SimulationStats", "build_interleaver",
-                     "burst_correctability_exhaustive", "deinterleave",
+                     "SimulationStats", "build_interleaver", "deinterleave",
                      "is_correctable", "simulate"),
     "lattice": ("SLOT_LEFT", "SLOT_TOP", "Cell", "Edge", "TorusLattice",
                 "Vector", "symmetric_residue"),
-    "params": ("CodeParams", "ComparisonRow", "RateGain", "bmd_params",
-               "compare", "interleaved_params", "kitaev_params", "rate_gain",
-               "toric_code_params"),
+    "params": ("CodeParams", "ComparisonRow", "bmd_params", "compare",
+               "interleaved_params", "kitaev_params", "toric_code_params"),
     "tessellation": ("Polyomino", "Tiling", "canonical_polyomino",
                      "is_fundamental_region", "lee_sphere", "render_ascii",
                      "render_svg", "tessellate"),

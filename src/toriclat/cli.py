@@ -2,7 +2,8 @@
 
 Subcommands: codewords, gens, distance, tessellate, params, compare,
 interleave, simulate, tables, verify.  Exit codes: 0 success, 1 property
-violation, 2 usage error, 3 I/O error.
+violation, 2 usage error (an input too large for memory included), 3 I/O
+error.
 
 Each command imports the layers it runs when it runs, so that a process
 loads and compiles only those.
@@ -20,7 +21,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from .interleaving import InterleaverMap, SimulationStats
     from .lattice import TorusLattice
-    from .params import CodeParams, RateGain
+    from .params import CodeParams
     from .tessellation import Polyomino
 
 EXIT_OK = 0
@@ -122,27 +123,28 @@ def _parse_q_range(text: str) -> list[int]:
     return list(range(start, stop + 1, step))  # stop is inclusive
 
 
-def _rg_payload(params: CodeParams, rg: RateGain, precision: int) -> dict:
+def _params_payload(params: CodeParams, precision: int) -> dict:
+    rate, gain = params.rate, params.gain  # each property builds a Fraction
     return {
         "family": params.family,
         "n": params.n,
         "k": params.k,
         "d": params.d,
         "t": params.t,
-        "rate": round(float(rg.rate), precision),
-        "rate_exact": str(rg.rate),
-        "gain": round(float(rg.gain), precision),
-        "gain_exact": str(rg.gain),
-        "gain_db": round(rg.gain_db, precision),
+        "rate": round(float(rate), precision),
+        "rate_exact": str(rate),
+        "gain": round(float(gain), precision),
+        "gain_exact": str(gain),
+        "gain_db": round(params.gain_db, precision),
     }
 
 
-def _csv_param_row(q: int, params: CodeParams, rg: RateGain,
-                   precision: int) -> str:
+def _csv_param_row(q: int, params: CodeParams, precision: int) -> str:
     d = "" if params.d is None else str(params.d)
     return (f"{q},{params.family},{params.n},{params.k},{d},{params.t},"
-            f"{float(rg.rate):.{precision}f},{float(rg.gain):.{precision}f},"
-            f"{rg.gain_db:.{precision}f}")
+            f"{float(params.rate):.{precision}f},"
+            f"{float(params.gain):.{precision}f},"
+            f"{params.gain_db:.{precision}f}")
 
 
 # ---------------------------------------------------------------- commands
@@ -217,7 +219,7 @@ def _load_shape(selector: str, lattice: TorusLattice) -> Polyomino:
     if selector == "lee":
         if lattice.q != 5:
             raise UsageError("the radius-1 Lee sphere only tiles q = 5")
-        return lee_sphere(1)
+        return lee_sphere()
     if selector.startswith("file:"):
         path = Path(selector[len("file:"):])
         cells = []
@@ -227,11 +229,7 @@ def _load_shape(selector: str, lattice: TorusLattice) -> Polyomino:
                 if not line or line.startswith("#"):
                     continue
                 x, y = line.split()
-                cell = (int(x), int(y))
-                if cell in cells:
-                    # from_cells would merge it and report a short shape
-                    raise ValueError(f"duplicate cell {cell}")
-                cells.append(cell)
+                cells.append((int(x), int(y)))
             return Polyomino.from_cells(cells)
         except ValueError as exc:
             raise UsageError(f"bad shape file {path}: {exc}") from exc
@@ -258,29 +256,28 @@ def cmd_tessellate(args) -> int:
 def cmd_params(args) -> int:
     from . import tables
     from .params import (bmd_params, interleaved_params, kitaev_params,
-                         rate_gain, toric_code_params)
+                         toric_code_params)
     lattice = _lattice(args.q)
-    entries = [toric_code_params(lattice), interleaved_params(lattice),
-               kitaev_params(args.q), bmd_params(args.q)]
-    rows = [(p, rate_gain(p)) for p in entries]
+    rows = [toric_code_params(lattice), interleaved_params(lattice),
+            kitaev_params(args.q), bmd_params(args.q)]
     p = args.precision
     if args.format == "json":
         text = _json({"q": args.q,
-                      "codes": [_rg_payload(cp, rg, p) for cp, rg in rows]})
+                      "codes": [_params_payload(cp, p) for cp in rows]})
     elif args.format == "csv":
         lines = ["q,family,n,k,d,t,rate,gain,gain_db"]
-        lines += [_csv_param_row(args.q, cp, rg, p) for cp, rg in rows]
+        lines += [_csv_param_row(args.q, cp, p) for cp in rows]
         text = "\n".join(lines) + "\n"
     else:
         lines = [f"{'family':<12} {'n':>6} {'k':>4} {'d':>3} {'t':>4} "
                  f"{'rate':>10} {'gain':>10} {'gain_db':>9}"]
-        for cp, rg in rows:
+        for cp in rows:
             d = "-" if cp.d is None else str(cp.d)
             lines.append(
                 f"{cp.family:<12} {cp.n:>6} {cp.k:>4} {d:>3} {cp.t:>4} "
-                f"{tables.format_ratio(rg.rate, p):>10} "
-                f"{tables.format_ratio(rg.gain, p):>10} "
-                f"{rg.gain_db:>9.{p}f}")
+                f"{tables.format_ratio(cp.rate, p):>10} "
+                f"{tables.format_ratio(cp.gain, p):>10} "
+                f"{cp.gain_db:>9.{p}f}")
         text = "\n".join(lines) + "\n"
     _emit(text, args.out)
     return EXIT_OK
@@ -299,28 +296,28 @@ def cmd_compare(args) -> int:
         for row in rows:
             payload.append({
                 "q": row.q,
-                "interleaved": _rg_payload(*row.interleaved, p),
-                "kitaev": _rg_payload(*row.kitaev, p),
-                "bmd": _rg_payload(*row.bmd, p),
+                "interleaved": _params_payload(row.interleaved, p),
+                "kitaev": _params_payload(row.kitaev, p),
+                "bmd": _params_payload(row.bmd, p),
                 "interleaved_dominates": row.dominates,
             })
         text = _json(payload)
     elif args.format == "csv":
         lines = ["q,family,n,k,d,t,rate,gain,gain_db"]
         for row in rows:
-            for cp, rg in (row.interleaved, row.kitaev, row.bmd):
-                lines.append(_csv_param_row(row.q, cp, rg, p))
+            for cp in (row.interleaved, row.kitaev, row.bmd):
+                lines.append(_csv_param_row(row.q, cp, p))
         text = "\n".join(lines) + "\n"
     else:
         lines = [f"{'q':>5} {'family':<12} {'rate':>12} {'gain':>12} "
                  f"{'dominated by interleaved':>26}"]
         for row in rows:
-            for cp, rg in (row.interleaved, row.kitaev, row.bmd):
+            for cp in (row.interleaved, row.kitaev, row.bmd):
                 flag = ("-" if cp.family == "interleaved"
                         else "yes" if row.dominates else "NO")
                 lines.append(f"{row.q:>5} {cp.family:<12} "
-                             f"{tables.format_ratio(rg.rate, p):>12} "
-                             f"{tables.format_ratio(rg.gain, p):>12} {flag:>26}")
+                             f"{tables.format_ratio(cp.rate, p):>12} "
+                             f"{tables.format_ratio(cp.gain, p):>12} {flag:>26}")
         text = "\n".join(lines) + "\n"
     _emit(text, args.out)
     if not all(row.dominates for row in rows):
@@ -604,6 +601,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         sys.stderr.write(f"i/o error: {exc}\n")
         return EXIT_IO
+    except MemoryError:
+        pass  # reported below, once its traceback no longer holds the memory
+    sys.stderr.write("error: out of memory; the input is too large\n")
+    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ c times (1, g), whose multiples run through the whole subgroup.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import gcd, isqrt
 
 from .lattice import Cell, TorusLattice, Vector
@@ -23,13 +22,6 @@ class CodewordSet:
 
     lattice: TorusLattice
     codewords: tuple[Cell, ...]
-
-    @cached_property
-    def cell_set(self) -> frozenset[Cell]:
-        return frozenset(self.codewords)
-
-    def contains(self, cell: Cell) -> bool:
-        return cell in self.cell_set
 
 
 @dataclass(frozen=True)
@@ -44,13 +36,6 @@ def codewords(lattice: TorusLattice) -> CodewordSet:
     """The q multiples of (1, g); one codeword in every column."""
     q, g = lattice.q, lattice.g
     return CodewordSet(lattice, tuple((k, (k * g) % q) for k in range(q)))
-
-
-def generates_same_code(lattice: TorusLattice, vec: Vector) -> bool:
-    """True when the mod-q multiples of vec give exactly the code's cells."""
-    q = lattice.q
-    span = frozenset(((k * vec[0]) % q, (k * vec[1]) % q) for k in range(q))
-    return span == codewords(lattice).cell_set
 
 
 def generator_set(lattice: TorusLattice) -> GeneratorSet:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .codes import CodewordSet, codewords
+from .codes import codewords
 from .lattice import TorusLattice, Vector
 
 #: Generates the code for every n >= 2: det((1,-3),(1,g)) = g + 3 = q.
@@ -58,25 +58,15 @@ def _candidates(lattice: TorusLattice) -> tuple[tuple[Vector, int], ...]:
     return tuple(cands)
 
 
-def min_distance_bruteforce(code: CodewordSet) -> DistanceReport:
-    """Minimum Mannheim weight over the q-1 nonzero codewords."""
-    lattice = code.lattice
-    best: int | None = None
-    best_vec: Vector = (0, 0)
-    for k in range(1, lattice.q):
-        vec = lattice.reduce(code.codewords[k])
-        w = mannheim_weight(vec)
-        if best is None or w < best:
-            best, best_vec = w, vec
-    assert best is not None
-    return DistanceReport(lattice.q, best, best_vec, _candidates(lattice))
-
-
 def min_distance_closed_form(lattice: TorusLattice) -> int:
     """3 for n in {2, 3, 4}, and 4 for every n >= 5."""
     return 3 if lattice.n <= 4 else 4
 
 
 def distance_report(lattice: TorusLattice) -> DistanceReport:
-    """Brute-force report for the canonical code on the lattice."""
-    return min_distance_bruteforce(codewords(lattice))
+    """Brute force: the minimum Mannheim weight over the q-1 nonzero
+    codewords of the canonical code, each in symmetric-residue form."""
+    nonzero = [lattice.reduce(c) for c in codewords(lattice).codewords[1:]]
+    best = min(nonzero, key=mannheim_weight)  # the first of minimal weight
+    return DistanceReport(lattice.q, mannheim_weight(best), best,
+                          _candidates(lattice))

@@ -42,10 +42,6 @@ class InterleaverMap:
     shape: Polyomino
     block_grid: tuple[int, ...]
 
-    @property
-    def block_size(self) -> int:
-        return 2 * self.lattice.q
-
     def block_cells(self) -> Iterator[list[Cell]]:
         """Each block's q cells in stream order, block by block.
 
@@ -69,9 +65,6 @@ class InterleaverMap:
         """The block of an edge's cell, its coordinates taken mod q."""
         q = self.lattice.q
         return self.block_grid[(edge.y % q) * q + edge.x % q]
-
-    def stream_block(self, index: int) -> int:
-        return index // self.block_size
 
 
 def build_interleaver(
@@ -159,13 +152,6 @@ def burst_pattern_counts(
     return q * q * total, failures, witness
 
 
-def burst_correctability_exhaustive(lattice: TorusLattice) -> bool:
-    """True when every cluster pattern with at most one errored edge per
-    cell is correctable with t = 1 per block."""
-    _, failures, _ = burst_exhaustive_report(lattice)
-    return failures == 0
-
-
 def double_slot_uncorrectable_exhaustive(lattice: TorusLattice) -> bool:
     """Negative control: erroring both slots of any one cluster cell must
     be reported uncorrectable, for every anchor and every cell."""
@@ -235,8 +221,7 @@ def _replay_trial(lattice: TorusLattice, shape: Polyomino, seed: int,
 
 
 def simulate(lattice: TorusLattice, trials: int, seed: int,
-             model: str = MODEL_ONE_PER_CELL, t: int = 1,
-             max_exemplars: int = 5) -> SimulationStats:
+             model: str = MODEL_ONE_PER_CELL) -> SimulationStats:
     """Sample random cluster-error trials and count correctable ones.
 
     Trial i draws from an independent stream derived from (seed, i), so
@@ -244,7 +229,9 @@ def simulate(lattice: TorusLattice, trials: int, seed: int,
     run in one kernel call.  one-per-cell picks none/top/left uniformly
     per cluster cell; uniform-cluster draws q of the cluster's 2q edges
     without replacement, which can err both slots of one cell and thereby
-    overflow a block.  An unknown model raises ValueError.
+    overflow a block.  A trial fails when a block gets more than t = 1
+    errors, and the first five failing trials are replayed as exemplars.
+    An unknown model raises ValueError.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -253,7 +240,7 @@ def simulate(lattice: TorusLattice, trials: int, seed: int,
     # toriclat.kernels.simulate_trials sees the call
     correctable, failures, failing = kernels.simulate_trials(
         lattice.q, mapping.shape.cells, mapping.block_grid, seed & M64, 0,
-        trials, model, t, max_exemplars)
+        trials, model, 1, 5)
     exemplars = tuple(
         FailureExemplar(i, _replay_trial(lattice, mapping.shape, seed, i, model))
         for i in failing)

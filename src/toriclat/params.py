@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .distance import min_distance_closed_form
 from .lattice import TorusLattice
@@ -37,11 +38,15 @@ class CodeParams:
         if self.d is not None and self.t != (self.d - 1) // 2:
             raise ValueError(f"t={self.t} inconsistent with d={self.d}")
 
+    @property
+    def rate(self) -> Fraction:
+        """R = k/n, exact."""
+        return Fraction(self.k, self.n)
 
-@dataclass(frozen=True)
-class RateGain:
-    rate: Fraction
-    gain: Fraction
+    @property
+    def gain(self) -> Fraction:
+        """G = (k/n)*(t+1), exact."""
+        return Fraction(self.k * (self.t + 1), self.n)
 
     @property
     def gain_db(self) -> float:
@@ -75,46 +80,27 @@ def bmd_params(r: int) -> CodeParams:
     return CodeParams(FAMILY_BMD, 2 * m, 2, 2 * r + 1, r)
 
 
-def rate_gain(params: CodeParams) -> RateGain:
-    """R = k/n and G = (k/n)*(t+1), both exact."""
-    rate = Fraction(params.k, params.n)
-    return RateGain(rate, rate * (params.t + 1))
-
-
 @dataclass(frozen=True)
 class ComparisonRow:
     """Interleaved code versus the two baselines at the same q (bmd at r=q)."""
 
     q: int
-    interleaved: tuple[CodeParams, RateGain]
-    kitaev: tuple[CodeParams, RateGain]
-    bmd: tuple[CodeParams, RateGain]
-    rate_beats_kitaev: bool
-    gain_beats_kitaev: bool
-    rate_beats_bmd: bool
-    gain_beats_bmd: bool
+    interleaved: CodeParams
+    kitaev: CodeParams
+    bmd: CodeParams
 
-    @property
+    @cached_property
     def dominates(self) -> bool:
-        return (self.rate_beats_kitaev and self.gain_beats_kitaev
-                and self.rate_beats_bmd and self.gain_beats_bmd)
+        """Whether the interleaved code beats both baselines on rate and
+        on gain, strictly; cached, as compare's text output reads it once
+        per line and each comparison builds Fractions."""
+        i = self.interleaved
+        return all(i.rate > b.rate and i.gain > b.gain
+                   for b in (self.kitaev, self.bmd))
 
 
 def compare(q: int) -> ComparisonRow:
-    if q < 5 or q % 2 == 0:
-        raise ValueError(f"q must be odd and >= 5, got {q}")
+    """The comparison row at q; TorusLattice rejects q even or below 5."""
     lattice = TorusLattice(q)
-    inter = interleaved_params(lattice)
-    kitaev = kitaev_params(q)
-    bmd = bmd_params(q)
-    rg_i, rg_k, rg_b = rate_gain(inter), rate_gain(kitaev), rate_gain(bmd)
-    return ComparisonRow(
-        q,
-        (inter, rg_i),
-        (kitaev, rg_k),
-        (bmd, rg_b),
-        rate_beats_kitaev=rg_i.rate > rg_k.rate,
-        gain_beats_kitaev=rg_i.gain > rg_k.gain,
-        rate_beats_bmd=rg_i.rate > rg_b.rate,
-        gain_beats_bmd=rg_i.gain > rg_b.gain,
-    )
+    return ComparisonRow(q, interleaved_params(lattice), kitaev_params(q),
+                         bmd_params(q))

@@ -1,9 +1,9 @@
 """A tiny splittable PRNG (splitmix64) for reproducible simulations.
 
-Trial i of a simulation draws from stream(seed, i), so aggregate results
-are bit-identical whether trials run serially, chunked, or across any
-number of workers, and a trial may stop drawing once its outcome is
-known without changing any other trial.  The trial kernel
+Trial i of a simulation draws from stream(seed, i), which depends on
+nothing but (seed, i).  All trials run in one pass of one kernel call,
+and a trial may stop drawing once its outcome is known without changing
+any other trial, so the results are fixed by the seed alone.  The trial kernel
 (kernels.simulate_trials) inlines this generator's steps on local ints;
 tests/oracles.simulate_by_streams draws through stream() and holds the
 kernel to it value for value.

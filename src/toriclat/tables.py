@@ -63,13 +63,12 @@ def generator_rows(qs=_GENERATOR_QS) -> dict[int, list[tuple[int, int]]]:
 def interleaved_rows(qs=_INTERLEAVED_QS) -> list[dict[str, Any]]:
     # imported here, so that the grids (codewords' text output) do not
     # load params and fractions
-    from .params import interleaved_params, rate_gain
+    from .params import interleaved_params
     rows = []
     for q in qs:
         params = interleaved_params(TorusLattice(q))
-        rg = rate_gain(params)
         rows.append({"q": q, "n": params.n, "k": params.k, "t": params.t,
-                     "rate": rg.rate, "gain": rg.gain})
+                     "rate": params.rate, "gain": params.gain})
     return rows
 
 

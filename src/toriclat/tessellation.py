@@ -39,8 +39,14 @@ class Polyomino:
 
     @classmethod
     def from_cells(cls, cells: Iterable[Cell]) -> "Polyomino":
-        """Normalize arbitrary integer offsets and sort them row-major."""
-        pts = set((int(x), int(y)) for x, y in cells)
+        """Normalize arbitrary integer offsets and sort them row-major; a
+        repeated cell raises ValueError."""
+        pts: set[Cell] = set()
+        for x, y in cells:
+            cell = (int(x), int(y))
+            if cell in pts:
+                raise ValueError(f"duplicate cell {cell}")
+            pts.add(cell)
         if not pts:
             raise ValueError("polyomino needs at least one cell")
         min_x = min(x for x, _ in pts)
@@ -92,10 +98,8 @@ def canonical_polyomino(lattice: TorusLattice) -> Polyomino:
     return shape
 
 
-def lee_sphere(radius: int = 1) -> Polyomino:
+def lee_sphere() -> Polyomino:
     """The radius-1 Lee sphere (plus-shape); the alternate q = 5 tile."""
-    if radius != 1:
-        raise ValueError("only radius 1 is supported")
     return Polyomino.from_cells([(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)])
 
 
@@ -135,12 +139,6 @@ class Tiling:
     shape: Polyomino
     anchors: CodewordSet
     cell_to_anchor: tuple[int, ...]
-
-    def region(self, k: int) -> tuple[Cell, ...]:
-        """The q cells assigned to anchor index k, row-major."""
-        q = self.lattice.q
-        return tuple((i % q, i // q) for i, a in enumerate(self.cell_to_anchor)
-                     if a == k)
 
 
 def coset_rows(code: CodewordSet, shape: Polyomino) -> Iterator[list[int]]:

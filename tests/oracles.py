@@ -14,7 +14,7 @@ from itertools import product
 
 from hypothesis import assume, settings, strategies as st
 
-from toriclat.codes import generates_same_code
+from toriclat.codes import codewords
 from toriclat.kernels import MODEL_ONE_PER_CELL, MODEL_UNIFORM_CLUSTER
 from toriclat.lattice import TorusLattice, coset_label
 from toriclat.rng import stream
@@ -58,11 +58,12 @@ def fundamental_by_pairs_and_cover(code, cells):
     difference is a codeword mod q.
     """
     q = code.lattice.q
+    members = set(code.codewords)
     witness = None
     for i in range(len(cells)):
         for j in range(i + 1, len(cells)):
             (ax, ay), (bx, by) = cells[i], cells[j]
-            if code.contains(((ax - bx) % q, (ay - by) % q)):
+            if ((ax - bx) % q, (ay - by) % q) in members:
                 witness = (cells[i], cells[j])
                 break
         if witness:
@@ -108,6 +109,13 @@ def block_grid_by_labels(lattice, shape):
                       for b, (bx, by) in enumerate(shape.cells)}
     return tuple(block_of_label[coset_label(q, g, x, y)]
                  for x, y in lattice.cells())
+
+
+def generates_same_code(lattice, vec):
+    """True when the mod-q multiples of vec give exactly the code's cells."""
+    q = lattice.q
+    span = {((k * vec[0]) % q, (k * vec[1]) % q) for k in range(q)}
+    return span == set(codewords(lattice).codewords)
 
 
 def generators_by_span(lattice):

@@ -18,7 +18,7 @@ from toriclat.interleaving import (MODEL_ONE_PER_CELL, build_interleaver,
                                    double_slot_uncorrectable_exhaustive,
                                    simulate)
 from toriclat.lattice import TorusLattice
-from toriclat.params import compare, interleaved_params, rate_gain
+from toriclat.params import compare, interleaved_params
 from toriclat.tessellation import (Polyomino, canonical_polyomino,
                                    is_fundamental_region, lee_sphere)
 
@@ -80,7 +80,7 @@ def test_criterion_04_tessellations():
         good, _ = is_fundamental_region(codewords(lattice), shape)
         ok = ok and shape.area == q and good
     code5 = codewords(TorusLattice(5))
-    ok = ok and is_fundamental_region(code5, lee_sphere(1))[0]
+    ok = ok and is_fundamental_region(code5, lee_sphere())[0]
     square_plus_one = Polyomino.from_cells(
         [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1)])
     ok = ok and is_fundamental_region(code5, square_plus_one)[0]
@@ -95,10 +95,9 @@ def test_criterion_05_interleaved_table():
     ok = True
     for q, (n, k, t, gain_text) in INTERLEAVED_ROWS.items():
         params = interleaved_params(TorusLattice(q))
-        rg = rate_gain(params)
         ok = ok and (params.n, params.k, params.t) == (n, k, t)
-        ok = ok and rg.gain == Fraction(q + 1, q)
-        ok = ok and tables.format_ratio(rg.gain, 5) == gain_text
+        ok = ok and params.gain == Fraction(q + 1, q)
+        ok = ok and tables.format_ratio(params.gain, 5) == gain_text
     elapsed = time.perf_counter() - start
     _report(5, ok and elapsed < 1.0,
             f"[[2q^2,2q,t=q]] rows and gains match to 5 decimals "

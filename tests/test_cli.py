@@ -4,9 +4,11 @@ import importlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -15,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 import toriclat
 from oracles import PROPERTY
 from reference_data import GRID_MARKS, INTERLEAVED_ROWS
-from toriclat import kernels, tables
+from toriclat import kernels, params, tables
 from toriclat.cli import build_parser, main
 from toriclat.interleaving import build_interleaver
 from toriclat.lattice import TorusLattice
@@ -229,6 +231,26 @@ def test_compare_reports_dominance(capsys):
     assert all(row["interleaved_dominates"] for row in payload)
 
 
+def test_compare_flags_a_row_that_does_not_dominate(capsys, monkeypatch):
+    # a kitaev stand-in with rate 2/5 beats the interleaved rate 1/5
+    real = params.compare
+    losing = params.CodeParams("kitaev", 10, 4, 3, 1)
+
+    def compare(q):
+        row = real(q)
+        return row if q == 5 else replace(row, kitaev=losing)
+
+    monkeypatch.setattr(params, "compare", compare)
+    code, out = run(capsys, "compare", "--q-range", "5:7:2")
+    assert code == 1
+    flags = [line.split()[-1] for line in out.strip().split("\n")[1:]]
+    assert flags == ["-", "yes", "yes", "-", "NO", "NO"]
+    code, out = run(capsys, "compare", "--q-range", "7:7:2",
+                    "--format", "json")
+    assert code == 1
+    assert json.loads(out)[0]["interleaved_dominates"] is False
+
+
 def test_compare_q_range_is_inclusive(capsys):
     code, out = run(capsys, "compare", "--q-range", "5:17:2",
                     "--format", "csv")
@@ -439,6 +461,28 @@ def test_stdout_pipe_closed_before_a_short_output_is_an_io_error(unbuffered):
     _assert_one_io_error_line(proc.returncode, proc.stderr.decode())
 
 
+CHILD_ADDRESS_SPACE = 256 << 20  # bytes
+
+
+def _limit_address_space():
+    # runs in the child between fork and exec, so only the child is limited
+    resource.setrlimit(resource.RLIMIT_AS,
+                       (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--q-range", "5:100000000001:2"],  # one huge list at once
+    ["interleave", "--q", "100001"],  # grows until an allocation fails
+])
+def test_an_input_too_large_for_memory_is_a_usage_error(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "toriclat", *argv], capture_output=True,
+        text=True, env=_child_env(False), preexec_fn=_limit_address_space,
+        timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: out of memory; the input is too large\n"
+
+
 # A child's ru_maxrss starts from the high-water mark of the process it
 # was forked from, so the command is started by a small launcher process
 # rather than by the test process, which may be larger than the command.
@@ -543,24 +587,19 @@ def test_import_toriclat_loads_no_layer():
     assert proc.stdout == "[]\n"
 
 
-# the package's public names and their layers, as they were when
-# toriclat/__init__ imported every layer eagerly
+# the package's public names and their layers
 PUBLIC_NAMES = {
-    "codes": ("CodewordSet", "GeneratorSet", "codewords",
-              "generates_same_code", "generator_set", "is_perfect",
-              "is_sum_of_two_squares", "verify_determinant"),
+    "codes": ("CodewordSet", "GeneratorSet", "codewords", "generator_set",
+              "is_perfect", "is_sum_of_two_squares", "verify_determinant"),
     "distance": ("DistanceReport", "distance_report", "mannheim_weight",
-                 "min_distance_bruteforce", "min_distance_closed_form",
-                 "move_vectors"),
+                 "min_distance_closed_form", "move_vectors"),
     "interleaving": ("BurstCluster", "FailureExemplar", "InterleaverMap",
-                     "SimulationStats", "build_interleaver",
-                     "burst_correctability_exhaustive", "deinterleave",
+                     "SimulationStats", "build_interleaver", "deinterleave",
                      "is_correctable", "simulate"),
     "lattice": ("SLOT_LEFT", "SLOT_TOP", "Cell", "Edge", "TorusLattice",
                 "Vector", "symmetric_residue"),
-    "params": ("CodeParams", "ComparisonRow", "RateGain", "bmd_params",
-               "compare", "interleaved_params", "kitaev_params", "rate_gain",
-               "toric_code_params"),
+    "params": ("CodeParams", "ComparisonRow", "bmd_params", "compare",
+               "interleaved_params", "kitaev_params", "toric_code_params"),
     "tessellation": ("Polyomino", "Tiling", "canonical_polyomino",
                      "is_fundamental_region", "lee_sphere", "render_ascii",
                      "render_svg", "tessellate"),
@@ -580,6 +619,23 @@ def test_public_names_resolve_to_their_layers():
     assert set(toriclat.__all__) <= set(namespace)
     with pytest.raises(AttributeError, match="no_such_name"):
         toriclat.no_such_name
+
+
+# public names that restated another one; each line gives the replacement
+REMOVED_NAMES = (
+    "RateGain",  # CodeParams.rate, .gain, .gain_db
+    "rate_gain",  # the same properties
+    "generates_same_code",  # tests/oracles.py, a brute-force span check
+    "min_distance_bruteforce",  # distance_report(lattice)
+    "burst_correctability_exhaustive",  # burst_exhaustive_report(l)[1] == 0
+)
+
+
+@pytest.mark.parametrize("name", REMOVED_NAMES)
+def test_removed_names_are_gone(name):
+    assert name not in toriclat.__all__
+    with pytest.raises(AttributeError, match=name):
+        getattr(toriclat, name)
 
 
 def _choices(command, dest):

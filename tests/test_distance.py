@@ -3,7 +3,6 @@ import pytest
 from reference_data import EXAMPLE_CANDIDATES, EXAMPLE_DISTANCES
 from toriclat.codes import codewords
 from toriclat.distance import (distance_report, mannheim_weight,
-                               min_distance_bruteforce,
                                min_distance_closed_form, move_vectors)
 from toriclat.lattice import TorusLattice
 
@@ -67,13 +66,13 @@ def test_candidates_dominate_for_n_at_least_3():
 def test_move_vectors_reduce_to_nonzero_codewords():
     for n in range(2, 60):
         lat = TorusLattice(2 * n + 1)
-        code = codewords(lat)
+        code = set(codewords(lat).codewords)
         vert = ((1) % lat.q, (-3) % lat.q)
-        assert vert in code.cell_set and vert != (0, 0)
+        assert vert in code and vert != (0, 0)
         if n >= 3:
             _, horiz = move_vectors(lat)
             reduced = (horiz[0] % lat.q, horiz[1] % lat.q)
-            assert reduced in code.cell_set and reduced != (0, 0)
+            assert reduced in code and reduced != (0, 0)
             # already in symmetric-residue form
             assert lat.reduce(reduced) == horiz
 
@@ -90,6 +89,10 @@ def test_distance_is_invariant_under_negating_the_generator():
 
 def test_report_carries_q_and_bruteforce_equals_report():
     lat = TorusLattice(9)
-    report = min_distance_bruteforce(codewords(lat))
-    assert report == distance_report(lat)
+    report = distance_report(lat)
+    weights = [mannheim_weight(lat.reduce(c))
+               for c in codewords(lat).codewords[1:]]
+    assert report.distance == min(weights)
+    assert report.achieving_vector == lat.reduce(
+        codewords(lat).codewords[1 + weights.index(min(weights))])
     assert report.q == 9

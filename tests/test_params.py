@@ -5,8 +5,8 @@ import pytest
 from reference_data import INTERLEAVED_ROWS
 from toriclat.distance import distance_report
 from toriclat.lattice import TorusLattice
-from toriclat.params import (CodeParams, bmd_params, compare,
-                             interleaved_params, kitaev_params, rate_gain,
+from toriclat.params import (CodeParams, ComparisonRow, bmd_params, compare,
+                             interleaved_params, kitaev_params,
                              toric_code_params)
 from toriclat.tables import format_ratio
 
@@ -30,7 +30,7 @@ def test_interleaved_params():
 def test_kitaev_params():
     assert _nkdt(kitaev_params(5)) == (50, 2, 5, 2)
     assert _nkdt(kitaev_params(7)) == (98, 2, 7, 3)
-    assert rate_gain(kitaev_params(5)).rate == Fraction(1, 25)
+    assert kitaev_params(5).rate == Fraction(1, 25)
     with pytest.raises(ValueError):
         kitaev_params(4)
 
@@ -51,37 +51,37 @@ def test_params_validation():
 
 
 def test_rate_gain_examples():
-    rg5 = rate_gain(interleaved_params(TorusLattice(5)))
-    assert rg5.rate == Fraction(1, 5)
-    assert rg5.gain == Fraction(6, 5)
-    rg7 = rate_gain(interleaved_params(TorusLattice(7)))
-    assert format_ratio(rg7.gain) == "1.14286"
-    rgk = rate_gain(kitaev_params(5))
-    assert rgk.gain == Fraction(3, 25)
-    assert float(rgk.gain) == 0.12
+    p5 = interleaved_params(TorusLattice(5))
+    assert p5.rate == Fraction(1, 5)
+    assert p5.gain == Fraction(6, 5)
+    p7 = interleaved_params(TorusLattice(7))
+    assert format_ratio(p7.gain) == "1.14286"
+    pk = kitaev_params(5)
+    assert pk.gain == Fraction(3, 25)
+    assert float(pk.gain) == 0.12
 
 
 def test_interleaved_table_rows_reproduce_to_five_decimals():
     for q, (n, k, t, gain_text) in INTERLEAVED_ROWS.items():
         params = interleaved_params(TorusLattice(q))
         assert (params.n, params.k, params.t) == (n, k, t)
-        rg = rate_gain(params)
-        assert rg.gain == Fraction(q + 1, q)
-        assert format_ratio(rg.gain, 5) == gain_text
+        assert params.gain == Fraction(q + 1, q)
+        assert format_ratio(params.gain, 5) == gain_text
 
 
 def test_dominance_over_both_baselines_up_to_1001():
     for q in range(5, 1002, 2):
         row = compare(q)
-        assert row.rate_beats_kitaev and row.gain_beats_kitaev
-        assert row.rate_beats_bmd and row.gain_beats_bmd
+        for baseline in (row.kitaev, row.bmd):
+            assert row.interleaved.rate > baseline.rate
+            assert row.interleaved.gain > baseline.gain
         assert row.dominates
 
 
 def test_gain_is_strictly_decreasing_with_limit_one():
     prev = None
     for q in range(5, 402, 2):
-        gain = rate_gain(interleaved_params(TorusLattice(q))).gain
+        gain = interleaved_params(TorusLattice(q)).gain
         assert gain - 1 == Fraction(1, q)
         if prev is not None:
             assert gain < prev
@@ -95,5 +95,44 @@ def test_toric_distance_agrees_with_brute_force():
 
 
 def test_gain_db_is_log_of_gain():
-    rg = rate_gain(interleaved_params(TorusLattice(5)))
-    assert abs(rg.gain_db - 0.7918124604762482) < 1e-12
+    params = interleaved_params(TorusLattice(5))
+    assert abs(params.gain_db - 0.7918124604762482) < 1e-12
+
+
+# Hand-built codes for the dominance test: the interleaved stand-in has
+# rate 1/5 and gain 1.  WEAK loses to it on both; RATE_WINNER has the
+# higher rate (1/2) but the lower gain (1/2); GAIN_WINNER has the higher
+# gain (2) but the lower rate (1/50).  RATE_TIE equals its rate with the
+# lower gain (1/5), GAIN_TIE its gain with the lower rate (1/50).
+INTERLEAVED = CodeParams("interleaved", 10, 2, None, 4)
+WEAK = CodeParams("kitaev", 100, 2, None, 1)
+RATE_WINNER = CodeParams("kitaev", 4, 2, None, 0)
+GAIN_WINNER = CodeParams("kitaev", 100, 2, None, 99)
+RATE_TIE = CodeParams("bmd", 10, 2, None, 0)
+GAIN_TIE = CodeParams("bmd", 100, 2, None, 49)
+
+
+def test_hand_built_codes_order_as_described():
+    assert (INTERLEAVED.rate, INTERLEAVED.gain) == (Fraction(1, 5), 1)
+    assert WEAK.rate < INTERLEAVED.rate and WEAK.gain < INTERLEAVED.gain
+    assert RATE_WINNER.rate > INTERLEAVED.rate > GAIN_WINNER.rate
+    assert GAIN_WINNER.gain > INTERLEAVED.gain > RATE_WINNER.gain
+    assert RATE_TIE.rate == INTERLEAVED.rate > GAIN_TIE.rate
+    assert GAIN_TIE.gain == INTERLEAVED.gain > RATE_TIE.gain
+
+
+@pytest.mark.parametrize("kitaev, bmd", [
+    (RATE_WINNER, WEAK), (GAIN_WINNER, WEAK),
+    (WEAK, RATE_WINNER), (WEAK, GAIN_WINNER),
+    (WEAK, RATE_TIE), (WEAK, GAIN_TIE),
+], ids=["kitaev-rate", "kitaev-gain", "bmd-rate", "bmd-gain",
+        "bmd-rate-tie", "bmd-gain-tie"])
+def test_losing_any_one_comparison_loses_dominance(kitaev, bmd):
+    assert ComparisonRow(5, INTERLEAVED, WEAK, WEAK).dominates
+    assert not ComparisonRow(5, INTERLEAVED, kitaev, bmd).dominates
+
+
+def test_compare_rejects_q_through_the_lattice():
+    for q in (3, 4, 6):
+        with pytest.raises(ValueError, match=f"q must be odd and >= 5, got {q}"):
+            compare(q)
