@@ -15,13 +15,13 @@ imported when one of its names is first looked up (PEP 562), so that
 __version__ = "0.1.0"
 
 _LAYERS = {
-    "codes": ("CodewordSet", "GeneratorSet", "codewords", "generator_set",
-              "is_perfect", "is_sum_of_two_squares", "verify_determinant"),
+    "codes": ("GeneratorSet", "codewords", "generator_set", "is_perfect",
+              "is_sum_of_two_squares", "verify_determinant"),
     "distance": ("DistanceReport", "distance_report", "mannheim_weight",
                  "min_distance_closed_form", "move_vectors"),
-    "interleaving": ("BurstCluster", "FailureExemplar", "InterleaverMap",
-                     "SimulationStats", "build_interleaver", "deinterleave",
-                     "is_correctable", "simulate"),
+    "interleaving": ("FailureExemplar", "InterleaverMap", "SimulationStats",
+                     "build_interleaver", "deinterleave", "is_correctable",
+                     "simulate"),
     "lattice": ("SLOT_LEFT", "SLOT_TOP", "Cell", "Edge", "TorusLattice",
                 "Vector", "symmetric_residue"),
     "params": ("CodeParams", "ComparisonRow", "bmd_params", "compare",

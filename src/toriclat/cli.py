@@ -47,8 +47,8 @@ def _emit(text: str | list[str], out: str | None) -> None:
     shows only as the failure of a later write.
     """
     pieces = [text] if isinstance(text, str) else text
-    with (open(out, "w", encoding="utf-8") if out
-          else contextlib.nullcontext(sys.stdout)) as f:
+    with (contextlib.nullcontext(sys.stdout) if out is None
+          else open(out, "w", encoding="utf-8")) as f:
         for piece in pieces:
             for i in range(0, len(piece), STDOUT_SLICE):
                 f.write(piece[i:i + STDOUT_SLICE])
@@ -157,9 +157,9 @@ def cmd_codewords(args) -> int:
     code = codewords(lattice)
     if args.format == "json":
         text = _json({"q": args.q, "generator": list(lattice.generator),
-                      "codewords": [list(c) for c in code.codewords]})
+                      "codewords": [list(c) for c in code]})
     else:
-        listing = " ".join(f"({x},{y})" for x, y in code.codewords)
+        listing = " ".join(f"({x},{y})" for x, y in code)
         text = (tables.render_grid(args.q)
                 + f"codewords (k*(1,{lattice.g}) for k = 0..{args.q - 1}): "
                 + listing + "\n")
@@ -237,12 +237,11 @@ def _load_shape(selector: str, lattice: TorusLattice) -> Polyomino:
 
 
 def cmd_tessellate(args) -> int:
-    from .codes import codewords
     from .tessellation import render_ascii, svg_rows, tessellate
     lattice = _lattice(args.q)
     shape = _load_shape(args.shape, lattice)
     try:
-        tiling = tessellate(codewords(lattice), shape)
+        tiling = tessellate(lattice, shape)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VIOLATION
@@ -362,8 +361,8 @@ def _stats_payload(stats: SimulationStats) -> dict:
         "failure_rate": stats.failures / stats.trials,
         "exemplars": [
             {"trial": ex.trial,
-             "anchor": list(ex.cluster.anchor),
-             "errors": [[e.x, e.y, e.slot] for e in ex.cluster.errored_edges]}
+             "anchor": list(ex.anchor),
+             "errors": [[e.x, e.y, e.slot] for e in ex.errored_edges]}
             for ex in stats.exemplars],
     }
 

@@ -17,14 +17,6 @@ from .lattice import Cell, TorusLattice, Vector
 
 
 @dataclass(frozen=True)
-class CodewordSet:
-    """The cyclic subgroup <(1, g)>; codewords[k] is k*(1, g) mod q."""
-
-    lattice: TorusLattice
-    codewords: tuple[Cell, ...]
-
-
-@dataclass(frozen=True)
 class GeneratorSet:
     """All signed vectors generating the same code as (1, g)."""
 
@@ -32,10 +24,10 @@ class GeneratorSet:
     vectors: frozenset[Vector]
 
 
-def codewords(lattice: TorusLattice) -> CodewordSet:
-    """The q multiples of (1, g); one codeword in every column."""
+def codewords(lattice: TorusLattice) -> tuple[Cell, ...]:
+    """The q multiples k*(1, g) mod q, k = 0..q-1; one in every column."""
     q, g = lattice.q, lattice.g
-    return CodewordSet(lattice, tuple((k, (k * g) % q) for k in range(q)))
+    return tuple((k, (k * g) % q) for k in range(q))
 
 
 def generator_set(lattice: TorusLattice) -> GeneratorSet:
@@ -58,7 +50,7 @@ def generator_set(lattice: TorusLattice) -> GeneratorSet:
 
 def is_perfect(lattice: TorusLattice) -> bool:
     """Exactly one codeword in every row and in every column of the grid."""
-    cw = codewords(lattice).codewords
+    cw = codewords(lattice)
     q = lattice.q
     return len({x for x, _ in cw}) == q and len({y for _, y in cw}) == q
 

@@ -66,7 +66,7 @@ def min_distance_closed_form(lattice: TorusLattice) -> int:
 def distance_report(lattice: TorusLattice) -> DistanceReport:
     """Brute force: the minimum Mannheim weight over the q-1 nonzero
     codewords of the canonical code, each in symmetric-residue form."""
-    nonzero = [lattice.reduce(c) for c in codewords(lattice).codewords[1:]]
+    nonzero = [lattice.reduce(c) for c in codewords(lattice)[1:]]
     best = min(nonzero, key=mannheim_weight)  # the first of minimal weight
     return DistanceReport(lattice.q, mannheim_weight(best), best,
                           _candidates(lattice))

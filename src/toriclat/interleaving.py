@@ -11,10 +11,11 @@ cell, so a cluster of errors confined to one translate with at most one
 errored edge per cell leaves at most one error per block -- correctable
 by a per-block capability of t = 1.
 
-The block partition depends only on the code, not on which generator
-enumerates it: every generating vector spans the same subgroup, hence
-the same cosets.  Swapping the generator would only reorder positions
-within a block, so the canonical (1, g) layout is the one exposed.
+The block partition depends only on the code, which the lattice alone
+fixes, not on which generator enumerates it: every generating vector
+spans the same subgroup, hence the same cosets.  Swapping the generator
+would only reorder positions within a block, so the canonical (1, g)
+layout is the one exposed.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from math import prod
 from typing import Iterator
 
 from . import kernels
-from .codes import codewords
 from .kernels import MODEL_ONE_PER_CELL, MODEL_UNIFORM_CLUSTER
 from .lattice import SLOT_LEFT, SLOT_TOP, Cell, Edge, TorusLattice
 from .rng import M64, stream
@@ -79,7 +79,7 @@ def build_interleaver(
     """
     if shape is None:
         shape = canonical_polyomino(lattice)
-    rows = coset_rows(codewords(lattice), shape)
+    rows = coset_rows(lattice, shape)
     return InterleaverMap(lattice, shape, tuple(chain.from_iterable(rows)))
 
 
@@ -167,18 +167,13 @@ def double_slot_uncorrectable_exhaustive(lattice: TorusLattice) -> bool:
 
 
 @dataclass(frozen=True)
-class BurstCluster:
-    """One polyomino-shaped error cluster."""
-
-    anchor: Cell
-    cells: tuple[Cell, ...]
-    errored_edges: tuple[Edge, ...]
-
-
-@dataclass(frozen=True)
 class FailureExemplar:
+    """A failing trial's cluster anchor and errored edges; the cluster's
+    cells are cluster_cells(lattice, shape, anchor)."""
+
     trial: int
-    cluster: BurstCluster
+    anchor: Cell
+    errored_edges: tuple[Edge, ...]
 
 
 @dataclass(frozen=True)
@@ -193,8 +188,8 @@ class SimulationStats:
 
 
 def _replay_trial(lattice: TorusLattice, shape: Polyomino, seed: int,
-                  trial: int, model: str) -> BurstCluster:
-    """Re-derive one trial's cluster and errors from its stream."""
+                  trial: int, model: str) -> FailureExemplar:
+    """Re-derive one trial's anchor and errors from its stream."""
     q = lattice.q
     rng = stream(seed, trial)
     ax = rng.below(q)
@@ -217,7 +212,7 @@ def _replay_trial(lattice: TorusLattice, shape: Polyomino, seed: int,
         for e in perm[:len(cells)]:
             cell = cells[e >> 1]
             edges.append(Edge(cell[0], cell[1], e & 1))
-    return BurstCluster((ax, ay), cells, tuple(edges))
+    return FailureExemplar(trial, (ax, ay), tuple(edges))
 
 
 def simulate(lattice: TorusLattice, trials: int, seed: int,
@@ -241,8 +236,7 @@ def simulate(lattice: TorusLattice, trials: int, seed: int,
     correctable, failures, failing = kernels.simulate_trials(
         lattice.q, mapping.shape.cells, mapping.block_grid, seed & M64, 0,
         trials, model, 1, 5)
-    exemplars = tuple(
-        FailureExemplar(i, _replay_trial(lattice, mapping.shape, seed, i, model))
-        for i in failing)
+    exemplars = tuple(_replay_trial(lattice, mapping.shape, seed, i, model)
+                      for i in failing)
     return SimulationStats(lattice.q, model, seed, trials, correctable,
                            failures, exemplars)

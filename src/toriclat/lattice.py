@@ -77,13 +77,3 @@ class TorusLattice:
     def reduce(self, vec: Vector) -> Vector:
         """Symmetric-residue form of a vector, component by component."""
         return (symmetric_residue(vec[0], self.q), symmetric_residue(vec[1], self.q))
-
-    def edges(self) -> list[Edge]:
-        """All 2*q**2 edges: row-major over cells, top edge before left edge."""
-        q = self.q
-        out: list[Edge] = []
-        for y in range(q):
-            for x in range(q):
-                out.append(Edge(x, y, SLOT_TOP))
-                out.append(Edge(x, y, SLOT_LEFT))
-        return out

@@ -44,15 +44,14 @@ def format_ratio(value: Fraction, precision: int = 5) -> str:
 
 def grid_marks(q: int) -> list[tuple[int, int]]:
     """(row, col) positions of the X marks, sorted by row."""
-    code = codewords(TorusLattice(q))
-    return sorted((y, x) for x, y in code.codewords)
+    return sorted((y, x) for x, y in codewords(TorusLattice(q)))
 
 
 def codeword_listing(q: int = 5) -> dict[str, list[str]]:
     """Column codes 'xy' sorted by column and row codes 'yx' sorted by row."""
     code = codewords(TorusLattice(q))
-    columns = [f"{x}{y}" for x, y in sorted(code.codewords)]
-    rows = [f"{y}{x}" for x, y in sorted(code.codewords, key=lambda c: (c[1], c[0]))]
+    columns = [f"{x}{y}" for x, y in sorted(code)]
+    rows = [f"{y}{x}" for x, y in sorted(code, key=lambda c: (c[1], c[0]))]
     return {"column": columns, "row": rows}
 
 

@@ -2,9 +2,10 @@
 
 A polyomino with q cells tiles the torus under translation by the q
 codewords exactly when its cells lie in pairwise distinct cosets of the
-code, i.e. when their q coset labels are distinct.  Then every torus
-cell lies in the coset of one shape cell (`coset_rows`), which gives
-both the tiling and the interleaver's block grid.
+code, i.e. when their q coset labels are distinct; the lattice's q and
+g fix the labels, so the lattice names the code.  Every torus cell then
+lies in the coset of one shape cell (`coset_rows`), which gives both
+the tiling and the interleaver's block grid.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .codes import CodewordSet, codewords
+from .codes import codewords
 from .lattice import Cell, TorusLattice, coset_label
 
 
@@ -90,7 +91,7 @@ def canonical_polyomino(lattice: TorusLattice) -> Polyomino:
         cells = [(i, j) for i in range(q_prime + 1) for j in range(3)]
         cells += [(q_prime + 1, j) for j in range(r)]
     shape = Polyomino.from_cells(cells)
-    ok, witness = is_fundamental_region(codewords(lattice), shape)
+    ok, witness = is_fundamental_region(lattice, shape)
     if not ok:
         raise RuntimeError(
             f"internal error: canonical shape for q={q} is not a fundamental "
@@ -104,17 +105,17 @@ def lee_sphere() -> Polyomino:
 
 
 def is_fundamental_region(
-    code: CodewordSet, shape: "Polyomino | Iterable[Cell]"
+    lattice: TorusLattice, shape: "Polyomino | Iterable[Cell]"
 ) -> tuple[bool, tuple[Cell, Cell] | None]:
     """Whether codeword translates of the shape tile the torus exactly.
 
-    Accepts a Polyomino or any iterable of q distinct cells (the test is
+    Accepts a Polyomino or any iterable of q cells (the test is
     translation-invariant and does not need connectivity).  Returns
     (ok, witness); on failure the witness is the first pair of shape
-    cells (i < j, in lexicographic order of (i, j)) that share a coset.
+    cells (i < j, in lexicographic order of (i, j) over the cells in the
+    caller's order) that share a coset, a repeated cell being such a pair.
     """
-    cells = shape.cells if isinstance(shape, Polyomino) else tuple(set(shape))
-    lattice = code.lattice
+    cells = shape.cells if isinstance(shape, Polyomino) else tuple(shape)
     q = lattice.q
     if len(cells) != q:
         raise ValueError(f"shape has {len(cells)} cells, expected q={q}")
@@ -133,15 +134,15 @@ def is_fundamental_region(
 
 @dataclass(frozen=True)
 class Tiling:
-    """Assignment of every lattice cell to the region anchored at a codeword."""
+    """Assignment of every lattice cell to the region anchored at a
+    codeword: cell_to_anchor[y*q + x] = k names codewords(lattice)[k]."""
 
     lattice: TorusLattice
     shape: Polyomino
-    anchors: CodewordSet
     cell_to_anchor: tuple[int, ...]
 
 
-def coset_rows(code: CodewordSet, shape: Polyomino) -> Iterator[list[int]]:
+def coset_rows(lattice: TorusLattice, shape: Polyomino) -> Iterator[list[int]]:
     """Row by row, the index of the shape cell whose coset holds each cell.
 
     A shape that is not a fundamental region raises ValueError naming two
@@ -149,12 +150,12 @@ def coset_rows(code: CodewordSet, shape: Polyomino) -> Iterator[list[int]]:
     mod q steps by -g mod q, so row y is every such step of the
     label-indexed owners from label y on; the rows share their ints.
     """
-    ok, witness = is_fundamental_region(code, shape)
+    ok, witness = is_fundamental_region(lattice, shape)
     if not ok:
         raise ValueError(
             f"shape is not a fundamental region: cells {witness[0]} and "
             f"{witness[1]} lie in the same coset")
-    q, g = code.lattice.q, code.lattice.g
+    q, g = lattice.q, lattice.g
     owner = [0] * q
     for b, (bx, by) in enumerate(shape.cells):
         owner[coset_label(q, g, bx, by)] = b
@@ -163,18 +164,18 @@ def coset_rows(code: CodewordSet, shape: Polyomino) -> Iterator[list[int]]:
     return (cycle[y:y + step * q:step] for y in range(q))
 
 
-def tessellate(code: CodewordSet, shape: Polyomino) -> Tiling:
+def tessellate(lattice: TorusLattice, shape: Polyomino) -> Tiling:
     """Tile the torus by the shape; every cell gets a unique anchor index.
 
     A cell in the coset of shape cell (px, py) is that cell moved by the
     codeword k*(1, g) in column k = (x - px) mod q, its anchor index.
     """
-    q = code.lattice.q
+    q = lattice.q
     px = [x for x, _ in shape.cells]
     ks = list(range(q))  # one shared int object per anchor
-    assign = tuple(ks[(x - px[b]) % q] for row in coset_rows(code, shape)
+    assign = tuple(ks[(x - px[b]) % q] for row in coset_rows(lattice, shape)
                    for x, b in enumerate(row))
-    return Tiling(code.lattice, shape, code, assign)
+    return Tiling(lattice, shape, assign)
 
 
 _SYMBOLS = "0123456789abcdefghijklmnopqrstuvwxyz"
@@ -222,7 +223,7 @@ def svg_rows(tiling: Tiling, cell_size: int = 24) -> list[str]:
         parts.append("".join([head + ys + tail for head, tail in zip(
             heads, map(tails.__getitem__, anchors[y * q:(y + 1) * q]))]))
     pad = s // 4
-    for kx, ky in tiling.anchors.codewords:
+    for kx, ky in codewords(tiling.lattice):
         x0, y0 = kx * s + pad, ky * s + pad
         x1, y1 = (kx + 1) * s - pad, (ky + 1) * s - pad
         parts.append(f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y1}" '

@@ -51,14 +51,15 @@ def odd_q_and_polyomino(draw, q_values=range(5, 34, 2), fundamental=False):
     return q, Polyomino.from_cells(cells)
 
 
-def fundamental_by_pairs_and_cover(code, cells):
+def fundamental_by_pairs_and_cover(lattice, cells):
     """(ok, witness) from the pairwise coset test, checked by exact cover.
 
     The witness is the first pair (cells[i], cells[j]), i < j, whose
     difference is a codeword mod q.
     """
-    q = code.lattice.q
-    members = set(code.codewords)
+    q = lattice.q
+    code = codewords(lattice)
+    members = set(code)
     witness = None
     for i in range(len(cells)):
         for j in range(i + 1, len(cells)):
@@ -69,7 +70,7 @@ def fundamental_by_pairs_and_cover(code, cells):
         if witness:
             break
     covered = [0] * (q * q)
-    for kx, ky in code.codewords:
+    for kx, ky in code:
         for px, py in cells:
             covered[((ky + py) % q) * q + (kx + px) % q] += 1
     covers = covered == [1] * (q * q)
@@ -77,11 +78,11 @@ def fundamental_by_pairs_and_cover(code, cells):
     return covers, witness
 
 
-def tiling_by_translates(code, shape):
+def tiling_by_translates(lattice, shape):
     """Mark every codeword translate of the shape with its anchor index."""
-    q = code.lattice.q
+    q = lattice.q
     assign = [-1] * (q * q)
-    for k, (kx, ky) in enumerate(code.codewords):
+    for k, (kx, ky) in enumerate(codewords(lattice)):
         for px, py in shape.cells:
             assign[((ky + py) % q) * q + (kx + px) % q] = k
     return tuple(assign)
@@ -115,7 +116,7 @@ def generates_same_code(lattice, vec):
     """True when the mod-q multiples of vec give exactly the code's cells."""
     q = lattice.q
     span = {((k * vec[0]) % q, (k * vec[1]) % q) for k in range(q)}
-    return span == set(codewords(lattice).codewords)
+    return span == set(codewords(lattice))
 
 
 def generators_by_span(lattice):
@@ -224,7 +225,7 @@ def svg_by_cells(tiling, cell_size=24):
                 f'<rect x="{x * s}" y="{y * s}" width="{s}" height="{s}" '
                 f'fill="hsl({hue},65%,72%)" stroke="black" stroke-width="1"/>')
     pad = s // 4
-    for kx, ky in tiling.anchors.codewords:
+    for kx, ky in codewords(tiling.lattice):
         x0, y0 = kx * s + pad, ky * s + pad
         x1, y1 = (kx + 1) * s - pad, (ky + 1) * s - pad
         parts.append(f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y1}" '

@@ -66,7 +66,7 @@ def test_candidates_dominate_for_n_at_least_3():
 def test_move_vectors_reduce_to_nonzero_codewords():
     for n in range(2, 60):
         lat = TorusLattice(2 * n + 1)
-        code = set(codewords(lat).codewords)
+        code = set(codewords(lat))
         vert = ((1) % lat.q, (-3) % lat.q)
         assert vert in code and vert != (0, 0)
         if n >= 3:
@@ -91,8 +91,8 @@ def test_report_carries_q_and_bruteforce_equals_report():
     lat = TorusLattice(9)
     report = distance_report(lat)
     weights = [mannheim_weight(lat.reduce(c))
-               for c in codewords(lat).codewords[1:]]
+               for c in codewords(lat)[1:]]
     assert report.distance == min(weights)
     assert report.achieving_vector == lat.reduce(
-        codewords(lat).codewords[1 + weights.index(min(weights))])
+        codewords(lat)[1 + weights.index(min(weights))])
     assert report.q == 9

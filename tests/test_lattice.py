@@ -2,8 +2,7 @@ import random
 
 import pytest
 
-from toriclat.lattice import (SLOT_LEFT, SLOT_TOP, Edge, TorusLattice,
-                              symmetric_residue)
+from toriclat.lattice import TorusLattice, symmetric_residue
 
 
 def test_symmetric_residue_examples():
@@ -55,25 +54,6 @@ def test_translate_is_a_group_action(q):
         assert lat.translate(lat.translate(c, u), v) == \
             lat.translate(c, (u[0] + v[0], u[1] + v[1]))
     assert lat.translate((1, 1), (0, 0)) == (1, 1)
-
-
-def test_edge_enumeration_counts():
-    assert len(TorusLattice(5).edges()) == 50
-    assert len(TorusLattice(7).edges()) == 98
-
-
-@pytest.mark.parametrize("q", [5, 7, 9])
-def test_edge_enumeration_is_a_bijection_in_canonical_order(q):
-    lat = TorusLattice(q)
-    edges = lat.edges()
-    assert len(edges) == 2 * q * q
-    assert len(set(edges)) == 2 * q * q
-    assert edges[0] == Edge(0, 0, SLOT_TOP)
-    for y in range(q):
-        for x in range(q):
-            base = 2 * (y * q + x)
-            assert edges[base] == Edge(x, y, SLOT_TOP)
-            assert edges[base + 1] == Edge(x, y, SLOT_LEFT)
 
 
 def test_reduce_maps_to_symmetric_form():

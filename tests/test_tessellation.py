@@ -48,7 +48,7 @@ def test_canonical_area_and_tiling_sweep():
         lat = TorusLattice(q)
         shape = canonical_polyomino(lat)
         assert shape.area == q
-        ok, witness = is_fundamental_region(codewords(lat), shape)
+        ok, witness = is_fundamental_region(lat, shape)
         assert ok and witness is None
 
 
@@ -64,25 +64,24 @@ def test_lee_sphere():
     sphere = lee_sphere()
     assert sphere.area == 5
     assert set(sphere.cells) == {(1, 0), (0, 1), (1, 1), (2, 1), (1, 2)}
-    ok, _ = is_fundamental_region(codewords(TorusLattice(5)), sphere)
+    ok, _ = is_fundamental_region(TorusLattice(5), sphere)
     assert ok
 
 
 def test_non_fundamental_witness():
     lat = TorusLattice(5)
-    code = codewords(lat)
     # every cell is a codeword, so all five share one coset
     ok, witness = is_fundamental_region(
-        code, {(0, 0), (1, 2), (2, 4), (3, 1), (4, 3)})
+        lat, {(0, 0), (1, 2), (2, 4), (3, 1), (4, 3)})
     assert not ok
     a, b = witness
     diff = ((a[0] - b[0]) % 5, (a[1] - b[1]) % 5)
-    assert diff in code.codewords
+    assert diff in codewords(lat)
 
 
 def test_area_mismatch_rejected():
     with pytest.raises(ValueError):
-        is_fundamental_region(codewords(TorusLattice(7)), lee_sphere())
+        is_fundamental_region(TorusLattice(7), lee_sphere())
 
 
 def _random_connected_shape(rng, area):
@@ -97,20 +96,20 @@ def _random_connected_shape(rng, area):
 @pytest.mark.parametrize("q", [5, 7, 9, 13, 17, 25, 31])
 def test_coset_test_agrees_with_direct_cover_on_random_shapes(q):
     rng = random.Random(900 + q)
-    code = codewords(TorusLattice(q))
+    lat = TorusLattice(q)
     for _ in range(25):
         shape = _random_connected_shape(rng, q)
-        assert is_fundamental_region(code, shape) == \
-            fundamental_by_pairs_and_cover(code, shape.cells)
+        assert is_fundamental_region(lat, shape) == \
+            fundamental_by_pairs_and_cover(lat, shape.cells)
 
 
 @PROPERTY
 @given(odd_q_and_polyomino())
 def test_label_test_matches_the_pairwise_and_cover_oracle(q_and_shape):
     q, shape = q_and_shape
-    code = codewords(TorusLattice(q))
-    assert is_fundamental_region(code, shape) == \
-        fundamental_by_pairs_and_cover(code, shape.cells)
+    lat = TorusLattice(q)
+    assert is_fundamental_region(lat, shape) == \
+        fundamental_by_pairs_and_cover(lat, shape.cells)
 
 
 @st.composite
@@ -124,25 +123,37 @@ def _odd_q_and_cell_set(draw):
                                  max_size=2)):
         if cell not in cells:
             cells[i] = cell
-    return q, set(cells)
+    return q, tuple(cells)
 
 
 @PROPERTY
 @given(_odd_q_and_cell_set())
 def test_label_test_matches_the_oracle_on_cell_sets(q_and_cells):
     q, cells = q_and_cells
-    code = codewords(TorusLattice(q))
-    assert is_fundamental_region(code, cells) == \
-        fundamental_by_pairs_and_cover(code, tuple(set(cells)))
+    lat = TorusLattice(q)
+    assert is_fundamental_region(lat, cells) == \
+        fundamental_by_pairs_and_cover(lat, cells)
+
+
+def test_witness_is_the_first_pair_in_the_callers_order():
+    cells = [(0, 0), (1, 0), (2, 0), (3, 0), (0, 1)]
+    assert is_fundamental_region(TorusLattice(5), cells) == \
+        (False, ((2, 0), (0, 1)))
+
+
+def test_a_repeated_cell_is_its_own_witness():
+    # q cells with a repeat, not q - 1 merged cells of the wrong count
+    cells = [(0, 0), (1, 0), (0, 1), (1, 0), (1, 1)]
+    assert is_fundamental_region(TorusLattice(5), cells) == \
+        (False, ((1, 0), (1, 0)))
 
 
 @pytest.mark.parametrize("q", [5, 13])
 def test_tessellation_partitions_the_grid(q):
     lat = TorusLattice(q)
-    code = codewords(lat)
     shape = canonical_polyomino(lat)
-    anchors = tessellate(code, shape).cell_to_anchor
-    assert anchors == tiling_by_translates(code, shape)
+    anchors = tessellate(lat, shape).cell_to_anchor
+    assert anchors == tiling_by_translates(lat, shape)
     assert sorted(anchors) == [k for k in range(q) for _ in range(q)]
     assert {(i % q, i // q) for i, a in enumerate(anchors) if a == 0} == \
         set(shape.cells)
@@ -150,16 +161,16 @@ def test_tessellation_partitions_the_grid(q):
 
 @pytest.mark.parametrize("q", [*range(5, 42, 2), 301])
 def test_anchor_grid_matches_the_translate_oracle_on_canonical_shapes(q):
-    code = codewords(TorusLattice(q))
-    shape = canonical_polyomino(code.lattice)
-    assert tessellate(code, shape).cell_to_anchor == \
-        tiling_by_translates(code, shape)
+    lat = TorusLattice(q)
+    shape = canonical_polyomino(lat)
+    assert tessellate(lat, shape).cell_to_anchor == \
+        tiling_by_translates(lat, shape)
 
 
 def test_anchor_grid_matches_the_translate_oracle_on_the_lee_sphere():
-    code = codewords(TorusLattice(5))
-    assert tessellate(code, lee_sphere()).cell_to_anchor == \
-        tiling_by_translates(code, lee_sphere())
+    lat = TorusLattice(5)
+    assert tessellate(lat, lee_sphere()).cell_to_anchor == \
+        tiling_by_translates(lat, lee_sphere())
 
 
 @PROPERTY
@@ -167,18 +178,17 @@ def test_anchor_grid_matches_the_translate_oracle_on_the_lee_sphere():
 def test_anchor_grid_matches_the_translate_oracle_on_random_shapes(
         q_and_shape):
     q, shape = q_and_shape
-    code = codewords(TorusLattice(q))
-    assert tessellate(code, shape).cell_to_anchor == \
-        tiling_by_translates(code, shape)
+    lat = TorusLattice(q)
+    assert tessellate(lat, shape).cell_to_anchor == \
+        tiling_by_translates(lat, shape)
 
 
 def test_full_rows_and_columns_are_transversals_of_a_perfect_code():
     lat = TorusLattice(5)
-    code = codewords(lat)
     row = Polyomino.from_cells([(i, 0) for i in range(5)])
     column = Polyomino.from_cells([(0, i) for i in range(5)])
-    assert is_fundamental_region(code, row)[0]
-    assert is_fundamental_region(code, column)[0]
+    assert is_fundamental_region(lat, row)[0]
+    assert is_fundamental_region(lat, column)[0]
 
 
 def test_tessellate_rejects_non_fundamental_shapes():
@@ -187,12 +197,12 @@ def test_tessellate_rejects_non_fundamental_shapes():
     bad = Polyomino.from_cells([(0, 0), (1, 0), (1, 1), (1, 2), (0, 2)])
     with pytest.raises(ValueError, match=r"cells \(0, 0\) and \(1, 2\) lie "
                                          r"in the same coset"):
-        tessellate(codewords(lat), bad)
+        tessellate(lat, bad)
 
 
 def test_ascii_rendering_counts():
     lat = TorusLattice(5)
-    art = render_ascii(tessellate(codewords(lat), canonical_polyomino(lat)))
+    art = render_ascii(tessellate(lat, canonical_polyomino(lat)))
     rows = art.strip().split("\n")
     assert len(rows) == 5 and all(len(r) == 5 for r in rows)
     flat = "".join(rows)
@@ -203,7 +213,7 @@ def test_ascii_rendering_counts():
 
 def test_svg_rendering_structure():
     lat = TorusLattice(9)
-    svg = render_svg(tessellate(codewords(lat), canonical_polyomino(lat)))
+    svg = render_svg(tessellate(lat, canonical_polyomino(lat)))
     root = ET.fromstring(svg)
     rects = [el for el in root.iter() if el.tag.endswith("rect")]
     lines = [el for el in root.iter() if el.tag.endswith("line")]
@@ -227,12 +237,12 @@ def _assert_svg_matches_the_oracle(tiling, cell_size=24):
 def test_svg_matches_the_cell_by_cell_oracle_on_canonical_shapes(q):
     lat = TorusLattice(q)
     _assert_svg_matches_the_oracle(
-        tessellate(codewords(lat), canonical_polyomino(lat)))
+        tessellate(lat, canonical_polyomino(lat)))
 
 
 def test_svg_matches_the_cell_by_cell_oracle_on_the_lee_sphere():
     lat = TorusLattice(5)
-    tiling = tessellate(codewords(lat), lee_sphere())
+    tiling = tessellate(lat, lee_sphere())
     _assert_svg_matches_the_oracle(tiling)
     _assert_svg_matches_the_oracle(tiling, cell_size=10)
 
@@ -241,12 +251,12 @@ def test_svg_matches_the_cell_by_cell_oracle_on_the_lee_sphere():
 @given(odd_q_and_polyomino(fundamental=True))
 def test_svg_matches_the_cell_by_cell_oracle_on_random_shapes(q_and_shape):
     q, shape = q_and_shape
-    _assert_svg_matches_the_oracle(tessellate(codewords(TorusLattice(q)), shape))
+    _assert_svg_matches_the_oracle(tessellate(TorusLattice(q), shape))
 
 
 # up to q = 36 a cell is one symbol; past it, a padded number
 @pytest.mark.parametrize("q", [5, 35, 37, 41])
 def test_ascii_matches_the_cell_by_cell_oracle(q):
     lat = TorusLattice(q)
-    tiling = tessellate(codewords(lat), canonical_polyomino(lat))
+    tiling = tessellate(lat, canonical_polyomino(lat))
     assert render_ascii(tiling) == ascii_by_cells(tiling)
