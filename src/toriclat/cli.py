@@ -38,23 +38,28 @@ TABLE_IDS = ("T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8")
 MODELS = ("one-per-cell", "uniform-cluster")
 
 
-def _emit(text: str | list[str], out: str | None) -> None:
-    """Write a document, whole or as a list of pieces, to --out or stdout.
-
-    Each piece goes out in STDOUT_SLICE slices, so no document is encoded
-    whole.  Unbuffered (PYTHONUNBUFFERED), the text layer drops the rest
-    of a short write unnoticed, so a reader that leaves mid-document
-    shows only as the failure of a later write.
-    """
-    pieces = [text] if isinstance(text, str) else text
+@contextlib.contextmanager
+def _output(out: str | None):
+    """Open --out, or take stdout, and yield a write(piece) that sends a
+    piece in STDOUT_SLICE slices, so that no document is encoded whole.
+    Unbuffered (PYTHONUNBUFFERED), the text layer drops the rest of a
+    short write unnoticed, so a reader that leaves mid-document shows
+    only as the failure of a later write."""
     with (contextlib.nullcontext(sys.stdout) if out is None
           else open(out, "w", encoding="utf-8")) as f:
-        for piece in pieces:
+        def write(piece: str) -> None:
             for i in range(0, len(piece), STDOUT_SLICE):
                 f.write(piece[i:i + STDOUT_SLICE])
+        yield write
         # flushed here, so that a closed pipe is reported as an i/o error
         # and not as an ignored exception at interpreter shutdown
         f.flush()
+
+
+def _emit(text: str, out: str | None) -> None:
+    """Write a whole document to --out or stdout through _output."""
+    with _output(out) as write:
+        write(text)
 
 
 def _json(payload) -> str:
@@ -245,10 +250,11 @@ def cmd_tessellate(args) -> int:
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VIOLATION
-    if args.format == "svg":
-        _emit(svg_rows(tiling), args.out)
-    else:  # ascii / text
-        _emit(render_ascii(tiling), args.out)
+    pieces = (svg_rows(tiling) if args.format == "svg"
+              else (render_ascii(tiling),))  # ascii / text
+    with _output(args.out) as write:  # opened once the tiling is built
+        for piece in pieces:
+            write(piece)
     return EXIT_OK
 
 
@@ -388,10 +394,7 @@ def cmd_tables(args) -> int:
     from . import tables
     ids = list(tables.TABLE_IDS) if args.which == "all" else [args.which]
     if args.format == "json":
-        payload = []
-        for tid in ids:
-            data = tables.table_data(tid)
-            payload.append(_jsonable(data))
+        payload = [_jsonable(tables.table_data(tid)) for tid in ids]
         text = _json(payload if len(payload) > 1 else payload[0])
     else:
         text = "\n".join(tables.render_table(tid, args.precision)
@@ -464,9 +467,7 @@ def _verify_interleaver(q_max: int, report) -> bool:
             ok = False
     if ok:
         report(f"ok interleaver: bijection on 2q^2 edges for odd q in [5, {q_max}]")
-    for q in (5, 7, 9):
-        if q > q_max:
-            continue
+    for q in range(5, min(q_max, 9) + 1, 2):
         cases, failures, witness = interleaving.burst_exhaustive_report(
             TorusLattice(q))
         if failures:

@@ -199,10 +199,10 @@ def render_ascii(tiling: Tiling) -> str:
         for y in range(q))
 
 
-def svg_rows(tiling: Tiling, cell_size: int = 24) -> list[str]:
-    """The SVG of render_svg as pieces, each ending in a newline: the
-    header, the rects of each lattice row, one piece per anchor line and
-    the closing tag.
+def svg_rows(tiling: Tiling, cell_size: int = 24) -> Iterator[str]:
+    """The SVG of render_svg as pieces, each ending in a newline, made as
+    they are read: the header, the rects of each lattice row, one piece
+    per anchor line and the closing tag.  Only the piece in hand is held.
 
     A cell's rect is a per-column head, the row's y and a per-anchor
     tail, each formatted once.
@@ -210,28 +210,25 @@ def svg_rows(tiling: Tiling, cell_size: int = 24) -> list[str]:
     q = tiling.lattice.q
     s = cell_size
     side = q * s
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{side}" '
-        f'height="{side}" viewBox="0 0 {side} {side}">\n'
-    ]
+    yield (f'<svg xmlns="http://www.w3.org/2000/svg" width="{side}" '
+           f'height="{side}" viewBox="0 0 {side} {side}">\n')
     heads = [f'<rect x="{x * s}" y="' for x in range(q)]
     tails = [f'" width="{s}" height="{s}" fill="hsl({(360 * a) // q},65%,72%)"'
              ' stroke="black" stroke-width="1"/>\n' for a in range(q)]
     anchors = tiling.cell_to_anchor
     for y in range(q):
         ys = str(y * s)
-        parts.append("".join([head + ys + tail for head, tail in zip(
-            heads, map(tails.__getitem__, anchors[y * q:(y + 1) * q]))]))
+        yield "".join([head + ys + tail for head, tail in zip(
+            heads, map(tails.__getitem__, anchors[y * q:(y + 1) * q]))])
     pad = s // 4
     for kx, ky in codewords(tiling.lattice):
         x0, y0 = kx * s + pad, ky * s + pad
         x1, y1 = (kx + 1) * s - pad, (ky + 1) * s - pad
-        parts.append(f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y1}" '
-                     f'stroke="black" stroke-width="2"/>\n')
-        parts.append(f'<line x1="{x0}" y1="{y1}" x2="{x1}" y2="{y0}" '
-                     f'stroke="black" stroke-width="2"/>\n')
-    parts.append("</svg>\n")
-    return parts
+        yield (f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y1}" '
+               f'stroke="black" stroke-width="2"/>\n')
+        yield (f'<line x1="{x0}" y1="{y1}" x2="{x1}" y2="{y0}" '
+               f'stroke="black" stroke-width="2"/>\n')
+    yield "</svg>\n"
 
 
 def render_svg(tiling: Tiling, cell_size: int = 24) -> str:

@@ -1,5 +1,6 @@
 import random
 import xml.etree.ElementTree as ET
+from collections.abc import Iterator
 
 import pytest
 from hypothesis import given, strategies as st
@@ -224,7 +225,10 @@ def test_svg_rendering_structure():
 def _assert_svg_matches_the_oracle(tiling, cell_size=24):
     expected = svg_by_cells(tiling, cell_size)
     assert render_svg(tiling, cell_size) == expected
-    pieces = svg_rows(tiling, cell_size)
+    rows = svg_rows(tiling, cell_size)
+    # an iterator, made as the writer reads it, not a list held whole
+    assert isinstance(rows, Iterator)
+    pieces = list(rows)
     assert "".join(pieces) == expected
     # the header, one piece per lattice row, two per anchor, the closing tag
     q = tiling.lattice.q
