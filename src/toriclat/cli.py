@@ -15,7 +15,6 @@ import argparse
 import contextlib
 import json
 import sys
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -226,10 +225,12 @@ def _load_shape(selector: str, lattice: TorusLattice) -> Polyomino:
             raise UsageError("the radius-1 Lee sphere only tiles q = 5")
         return lee_sphere()
     if selector.startswith("file:"):
-        path = Path(selector[len("file:"):])
+        path = selector[len("file:"):]
         cells = []
         try:
-            for line in path.read_text(encoding="utf-8").splitlines():
+            with open(path, encoding="utf-8") as f:
+                text = f.read()
+            for line in text.splitlines():
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue

@@ -10,14 +10,13 @@ c times (1, g), whose multiples run through the whole subgroup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt
+from typing import NamedTuple
 
 from .lattice import Cell, TorusLattice, Vector
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
+class GeneratorSet(NamedTuple):
     """All signed vectors generating the same code as (1, g)."""
 
     lattice: TorusLattice

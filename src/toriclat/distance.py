@@ -8,7 +8,7 @@ whose weights realize the minimum for n >= 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .codes import codewords
 from .lattice import TorusLattice, Vector
@@ -22,8 +22,7 @@ def mannheim_weight(vec: Vector) -> int:
     return abs(vec[0]) + abs(vec[1])
 
 
-@dataclass(frozen=True)
-class DistanceReport:
+class DistanceReport(NamedTuple):
     """Minimum distance together with how it was achieved.
 
     achieving_vector is the first minimal-weight nonzero codeword in the

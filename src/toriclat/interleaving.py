@@ -21,11 +21,10 @@ layout is the one exposed.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
 from math import prod
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import kernels
 from .kernels import MODEL_ONE_PER_CELL, MODEL_UNIFORM_CLUSTER
@@ -34,13 +33,11 @@ from .rng import M64, stream
 from .tessellation import Polyomino, canonical_polyomino, coset_rows
 
 
-@dataclass(frozen=True)
-class InterleaverMap:
-    """Bijection between stream positions 0..2q**2-1 and torus edges."""
-
-    lattice: TorusLattice
-    shape: Polyomino
-    block_grid: tuple[int, ...]
+class InterleaverMap(NamedTuple("InterleaverMap", [
+        ("lattice", TorusLattice), ("shape", Polyomino),
+        ("block_grid", tuple[int, ...])])):
+    """Bijection between stream positions 0..2q**2-1 and torus edges; with
+    no __slots__, an instance has the __dict__ cached_property fills."""
 
     def block_cells(self) -> Iterator[list[Cell]]:
         """Each block's q cells in stream order, block by block.
@@ -166,8 +163,7 @@ def double_slot_uncorrectable_exhaustive(lattice: TorusLattice) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FailureExemplar:
+class FailureExemplar(NamedTuple):
     """A failing trial's cluster anchor and errored edges; the cluster's
     cells are cluster_cells(lattice, shape, anchor)."""
 
@@ -176,8 +172,7 @@ class FailureExemplar:
     errored_edges: tuple[Edge, ...]
 
 
-@dataclass(frozen=True)
-class SimulationStats:
+class SimulationStats(NamedTuple):
     q: int
     model: str
     seed: int

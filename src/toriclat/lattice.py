@@ -9,7 +9,6 @@ exactly 2*q**2 edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 Cell = tuple[int, int]
@@ -41,15 +40,15 @@ def coset_label(q: int, g: int, x: int, y: int) -> int:
     return (y - g * x) % q
 
 
-@dataclass(frozen=True)
-class TorusLattice:
+class TorusLattice(NamedTuple("TorusLattice", [("q", int)])):
     """The q x q cell grid with torus wraparound, q = 2n+1 and n >= 2."""
 
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.q < 5 or self.q % 2 == 0:
-            raise ValueError(f"q must be odd and >= 5, got {self.q}")
+    def __new__(cls, q: int) -> TorusLattice:
+        if q < 5 or q % 2 == 0:
+            raise ValueError(f"q must be odd and >= 5, got {q}")
+        return super().__new__(cls, q)
 
     @property
     def n(self) -> int:

@@ -8,9 +8,9 @@ honest decibel value 10*log10(G) is exposed separately as gain_db.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .distance import min_distance_closed_form
 from .lattice import TorusLattice
@@ -21,22 +21,21 @@ FAMILY_KITAEV = "kitaev"
 FAMILY_BMD = "bmd"
 
 
-@dataclass(frozen=True)
-class CodeParams:
+class CodeParams(NamedTuple("CodeParams", [
+        ("family", str), ("n", int), ("k", int), ("d", int | None),
+        ("t", int)])):
     """An [[n, k, d]] (or [[n, k, t]]) descriptor; d may be unset when the
     family is specified directly by its correction capability t."""
 
-    family: str
-    n: int
-    k: int
-    d: int | None
-    t: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n <= self.k:
+    def __new__(cls, family: str, n: int, k: int, d: int | None,
+                t: int) -> CodeParams:
+        if n <= k:
             raise ValueError("n must exceed k")
-        if self.d is not None and self.t != (self.d - 1) // 2:
-            raise ValueError(f"t={self.t} inconsistent with d={self.d}")
+        if d is not None and t != (d - 1) // 2:
+            raise ValueError(f"t={t} inconsistent with d={d}")
+        return super().__new__(cls, family, n, k, d, t)
 
     @property
     def rate(self) -> Fraction:
@@ -80,14 +79,11 @@ def bmd_params(r: int) -> CodeParams:
     return CodeParams(FAMILY_BMD, 2 * m, 2, 2 * r + 1, r)
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    """Interleaved code versus the two baselines at the same q (bmd at r=q)."""
-
-    q: int
-    interleaved: CodeParams
-    kitaev: CodeParams
-    bmd: CodeParams
+class ComparisonRow(NamedTuple("ComparisonRow", [
+        ("q", int), ("interleaved", CodeParams), ("kitaev", CodeParams),
+        ("bmd", CodeParams)])):
+    """Interleaved code versus the two baselines at the same q (bmd at r=q);
+    with no __slots__, an instance has the __dict__ cached_property fills."""
 
     @cached_property
     def dominates(self) -> bool:

@@ -10,15 +10,13 @@ the tiling and the interleaver's block grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .codes import codewords
 from .lattice import Cell, TorusLattice, coset_label
 
 
-@dataclass(frozen=True)
-class Polyomino:
+class Polyomino(NamedTuple("Polyomino", [("cells", tuple[Cell, ...])])):
     """An edge-connected set of cell offsets, normalized to the corner.
 
     Cells are stored sorted row-major with min x = min y = 0.  The origin
@@ -26,17 +24,18 @@ class Polyomino:
     bounding-box corner).
     """
 
-    cells: tuple[Cell, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.cells:
+    def __new__(cls, cells: tuple[Cell, ...]) -> Polyomino:
+        if not cells:
             raise ValueError("polyomino needs at least one cell")
-        if len(set(self.cells)) != len(self.cells):
+        if len(set(cells)) != len(cells):
             raise ValueError("duplicate cells")
-        if min(x for x, _ in self.cells) != 0 or min(y for _, y in self.cells) != 0:
+        if min(x for x, _ in cells) != 0 or min(y for _, y in cells) != 0:
             raise ValueError("cells must be normalized; use Polyomino.from_cells")
-        if not _connected(self.cells):
+        if not _connected(cells):
             raise ValueError("cells must form one edge-connected component")
+        return super().__new__(cls, cells)
 
     @classmethod
     def from_cells(cls, cells: Iterable[Cell]) -> "Polyomino":
@@ -132,8 +131,7 @@ def is_fundamental_region(
     return False, (cells[i], cells[j])
 
 
-@dataclass(frozen=True)
-class Tiling:
+class Tiling(NamedTuple):
     """Assignment of every lattice cell to the region anchored at a
     codeword: cell_to_anchor[y*q + x] = k names codewords(lattice)[k]."""
 

@@ -8,7 +8,6 @@ import resource
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -210,6 +209,15 @@ def test_tessellate_shape_file_with_a_repeated_cell_is_a_usage_error(
         f"error: bad shape file {shape}: duplicate cell (0, 0)\n"
 
 
+def test_bad_shape_file_is_named_as_given(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "shape.txt").write_text("0 0\n2 0\n", encoding="utf-8")
+    code = main(["tessellate", "--q", "5", "--shape", "file:./shape.txt"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "error: bad shape file ./shape.txt: ")
+
+
 def test_params_csv_schema(capsys):
     code, out = run(capsys, "params", "--q", "5", "--format", "csv")
     assert code == 0
@@ -238,7 +246,7 @@ def test_compare_flags_a_row_that_does_not_dominate(capsys, monkeypatch):
 
     def compare(q):
         row = real(q)
-        return row if q == 5 else replace(row, kitaev=losing)
+        return row if q == 5 else row._replace(kitaev=losing)
 
     monkeypatch.setattr(params, "compare", compare)
     code, out = run(capsys, "compare", "--q-range", "5:7:2")
@@ -606,6 +614,38 @@ def test_import_toriclat_loads_no_layer():
         capture_output=True, text=True, env=_child_env(False), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+# Every command's records are tuples, so no command pays for importing
+# dataclasses and the inspect module it pulls in.
+HEAVY_MODULES = ("dataclasses", "inspect")
+
+ALL_COMMANDS = [
+    ["codewords", "--q", "5"], ["gens", "--q", "7"], ["distance", "--q", "7"],
+    ["tessellate", "--q", "7", "--format", "svg"], ["params", "--q", "7"],
+    ["compare", "--q-range", "5:9:2"], ["interleave", "--q", "5"],
+    ["simulate", "--q", "5", "--trials", "50", "--seed", "3"],
+    ["tables", "all"], ["verify", "--scope", "all", "--q-max", "9"],
+]
+
+
+def _heavy_modules_loaded(code):
+    """Which of HEAVY_MODULES a fresh process has loaded after `code`."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys\nprint(sorted(m for m in "
+         f"{HEAVY_MODULES!r} if m in sys.modules))"],
+        capture_output=True, text=True, env=_child_env(False), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize("argv", ALL_COMMANDS, ids=lambda a: a[0])
+def test_commands_do_not_import_dataclasses_or_inspect(argv):
+    # a module the interpreter's own start-up loads is not toriclat's cost
+    run_command = ("import contextlib, io\nfrom toriclat.cli import main\n"
+                   "with contextlib.redirect_stdout(io.StringIO()):\n"
+                   f"    assert main({argv!r}) == 0\n")
+    assert _heavy_modules_loaded(run_command) == _heavy_modules_loaded("")
 
 
 # the package's public names and their layers
