@@ -31,7 +31,7 @@ EXIT_IO = 3
 MAX_PRECISION = 100
 STDOUT_SLICE = 1 << 16  # characters per write
 
-# tables.TABLE_IDS and kernels.MODEL_ONE_PER_CELL, MODEL_UNIFORM_CLUSTER,
+# tables.TABLE_IDS and rng.MODEL_ONE_PER_CELL, MODEL_UNIFORM_CLUSTER,
 # spelled out so that building the parser imports no layer
 TABLE_IDS = ("T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8")
 MODELS = ("one-per-cell", "uniform-cluster")

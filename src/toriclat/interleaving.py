@@ -26,10 +26,8 @@ from itertools import chain, combinations
 from math import prod
 from typing import Iterator, NamedTuple
 
-from . import kernels
-from .kernels import MODEL_ONE_PER_CELL, MODEL_UNIFORM_CLUSTER
 from .lattice import SLOT_LEFT, SLOT_TOP, Cell, Edge, TorusLattice
-from .rng import M64, stream
+from .rng import M64, MODEL_ONE_PER_CELL, MODEL_UNIFORM_CLUSTER, stream
 from .tessellation import Polyomino, canonical_polyomino, coset_rows
 
 
@@ -223,6 +221,9 @@ def simulate(lattice: TorusLattice, trials: int, seed: int,
     errors, and the first five failing trials are replayed as exemplars.
     An unknown model raises ValueError.
     """
+    # imported here, so that only the commands that run trials load it
+    from . import kernels
+
     if trials < 1:
         raise ValueError("trials must be >= 1")
     mapping = build_interleaver(lattice)

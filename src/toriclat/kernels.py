@@ -10,49 +10,118 @@ Shared conventions:
     Fisher-Yates over the cluster's 2*ncells edges taking the first
     ncells (uniform-cluster).
 
-The kernel computes rng.stream's splitmix64 steps on local ints and
-leaves out only draws that cannot change a trial's outcome.  Block
-counts only rise, so a trial fails at its first overflow and draws no
-further.  Under one-per-cell a block receives at most m_b errors, m_b
-being the number of cluster cells in block b, so an anchor with
-max m_b <= t is correctable whatever its cells draw; such a trial ends
-after its anchor draws.  tests/oracles.simulate_by_streams makes every
-draw through rng.stream and is held equal to this kernel.
+The kernel runs the trials in blocks of LANES and computes their
+splitmix64 outputs on packed lanes: one Python int holds a 64-bit value
+per trial, each in its own 128-bit slot, so that an add, shift, xor,
+multiply or mask acts on every trial of the block at once and a
+product of two 64-bit values never reaches the next slot.  Draw d of
+the block's trials is one such row, computed the first time a trial
+needs it and unpacked into an array('Q').  A draw that below(n) would
+reject shifts the rest of its stream, so a trial that reads one is run
+again through rng.stream; that has probability below n / 2^64 per draw.
+
+The kernel also leaves out draws that cannot change a trial's outcome.
+Block counts only rise, so a trial fails at its first overflow and
+draws no further.  Under one-per-cell a block receives at most m_b
+errors, m_b being the number of cluster cells in block b, so an anchor
+with max m_b <= t is correctable whatever its cells draw; such a trial
+ends after its anchor draws.  tests/oracles.simulate_by_streams makes
+every draw through rng.stream and is held equal to this kernel.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from typing import Sequence
 
-from .rng import GOLDEN, M64
+from .rng import (GOLDEN, M64, MODEL_ONE_PER_CELL, MODEL_UNIFORM_CLUSTER,
+                  stream)
 
 # the only backend; benchmark results record it so that only runs of one
 # backend are compared
 BACKEND = "python"
 
-MODEL_ONE_PER_CELL = "one-per-cell"
-MODEL_UNIFORM_CLUSTER = "uniform-cluster"
+# trials per block, each a 128-bit slot of the packed ints
+LANES = 1024
 
 # the splitmix64 finalizer's multipliers, as in rng.mix64
 _C1 = 0xBF58476D1CE4E5B9
 _C2 = 0x94D049BB133111EB
 
+# the array('Q') index of each slot's low 64 bits, in native byte order
+_LOW = 0 if sys.byteorder == "little" else 1
+
 _UNKNOWN, _SAFE, _UNSAFE = 0, 1, 2
 
 
-def _redraw(state: int, floor: int) -> tuple[int, int]:
-    """Step past rejected outputs; returns (state, first output >= floor).
+def _pack(values: array) -> int:
+    """The 64-bit values as the low halves of consecutive 128-bit slots."""
+    slots = array("Q", bytes(16 * len(values)))
+    slots[_LOW::2] = values
+    return int.from_bytes(slots, sys.byteorder)
 
-    Rejection has probability below n / 2^64, so the callers keep the
-    first attempt inline and come here only when it is rejected.
-    """
-    while True:
-        state = (state + GOLDEN) & M64
-        z = ((state ^ (state >> 30)) * _C1) & M64
-        z = ((z ^ (z >> 27)) * _C2) & M64
-        z ^= z >> 31
-        if z >= floor:
-            return state, z
+
+def _unpack(packed: int, lanes: int) -> array:
+    """The low half of each of the first `lanes` slots, in packing order."""
+    slots = array("Q")
+    slots.frombytes(packed.to_bytes(16 * lanes, sys.byteorder))
+    return slots[_LOW::2]
+
+
+def _mix(z: int, mask: int) -> int:
+    """rng.mix64 on every slot of a packed int whose slots are < 2^64."""
+    z = ((z ^ (z >> 30)) & mask) * _C1 & mask
+    z = ((z ^ (z >> 27)) & mask) * _C2 & mask
+    return (z ^ (z >> 31)) & mask
+
+
+class _Draws(dict):
+    """Draw d of a block's trials, row d, computed on first lookup."""
+
+    def __init__(self, seed: int, first: int, lanes: int) -> None:
+        super().__init__()
+        ones = _pack(array("Q", [1]) * lanes)
+        self.ones = ones
+        self.mask = M64 * ones
+        self.lanes = lanes
+        # state0 = mix64(seed ^ mix64(trial)), trial masked to 64 bits
+        trials = (first & M64) * ones + _pack(array("Q", range(lanes)))
+        mixed = _mix(trials & self.mask, self.mask)
+        self.state = _mix(mixed ^ seed * ones, self.mask)
+
+    def __missing__(self, d: int) -> array:
+        step = ((d + 1) * GOLDEN & M64) * self.ones
+        row = self[d] = _unpack(
+            _mix((self.state + step) & self.mask, self.mask), self.lanes)
+        return row
+
+
+def _correctable_by_stream(
+    q: int, cells: Sequence[tuple[int, int]], block_grid: Sequence[int],
+    seed: int, trial: int, one_per_cell: bool, t: int,
+) -> bool:
+    """One trial's outcome with every draw through rng.stream, for a
+    trial whose packed draws include one that below(n) rejects."""
+    rng = stream(seed, trial)
+    ax = rng.below(q)
+    ay = rng.below(q)
+    blocks = [block_grid[((ay + py) % q) * q + (ax + px) % q]
+              for px, py in cells]
+    counts = [0] * q
+    nedges = 2 * len(cells)
+    perm = list(range(nedges))
+    for i in range(len(cells)):
+        if one_per_cell:
+            if not rng.below(3):
+                continue
+            b = blocks[i]
+        else:
+            j = i + rng.below(nedges - i)
+            perm[i], perm[j] = perm[j], perm[i]
+            b = blocks[perm[i] >> 1]
+        counts[b] += 1
+    return max(counts) <= t
 
 
 def simulate_trials(
@@ -74,96 +143,90 @@ def simulate_trials(
         raise ValueError("t must be >= 0")
     ncells = len(cells)
     nedges = 2 * ncells
-    pxs = [px for px, _ in cells]
-    pys = [py for _, py in cells]
+    pxs = [px % q for px, _ in cells]
+    pys = [py % q for _, py in cells]
+    # x % q and (y % q) * q for 0 <= x, y < 2q, so that a cluster cell's
+    # block takes no mod: block_grid[rows[ay + py] + cols[ax + px]]
+    cols = list(range(q)) * 2
+    rows = [y * q for y in range(q)] * 2
     # below(n) rejects raw outputs under 2^64 % n
-    floor = [(1 << 64) % n if n else 0 for n in range(max(q, nedges) + 1)]
-    q_floor = floor[q]
-    three_floor = floor[3]
+    q_floor = (1 << 64) % q
+    three_floor = (1 << 64) % 3
     seed &= M64
     one_per_cell = model == MODEL_ONE_PER_CELL
     verdicts = bytearray(q * q)  # per one-per-cell anchor, lazily
-    identity = list(range(nedges))
+    # the Fisher-Yates deck holds each edge's cell, edge e lying in cell
+    # e >> 1
+    deck = [e >> 1 for e in range(nedges)]
+    # Fisher-Yates step i draws from range(n), n = nedges - i
+    steps = [(i, nedges - i, (1 << 64) % (nedges - i))
+             for i in range(ncells)]
     correctable = 0
     failing: list[int] = []
-    for trial in range(start, start + count):
-        # state = mix64(seed ^ mix64(trial))
-        z = trial & M64
-        z = ((z ^ (z >> 30)) * _C1) & M64
-        z = ((z ^ (z >> 27)) * _C2) & M64
-        z = seed ^ z ^ (z >> 31)
-        z = ((z ^ (z >> 30)) * _C1) & M64
-        z = ((z ^ (z >> 27)) * _C2) & M64
-        state = z ^ (z >> 31)
-
-        state = (state + GOLDEN) & M64
-        z = ((state ^ (state >> 30)) * _C1) & M64
-        z = ((z ^ (z >> 27)) * _C2) & M64
-        z ^= z >> 31
-        if z < q_floor:
-            state, z = _redraw(state, q_floor)
-        ax = z % q
-        state = (state + GOLDEN) & M64
-        z = ((state ^ (state >> 30)) * _C1) & M64
-        z = ((z ^ (z >> 27)) * _C2) & M64
-        z ^= z >> 31
-        if z < q_floor:
-            state, z = _redraw(state, q_floor)
-        ay = z % q
-
-        if one_per_cell:
-            anchor = ay * q + ax
-            verdict = verdicts[anchor]
-            if verdict == _UNKNOWN:
-                cells_in_block = [0] * q
-                for i in range(ncells):
-                    cells_in_block[block_grid[((ay + pys[i]) % q) * q
-                                              + (ax + pxs[i]) % q]] += 1
-                verdict = _SAFE if max(cells_in_block) <= t else _UNSAFE
-                verdicts[anchor] = verdict
-            if verdict == _SAFE:
-                correctable += 1
-                continue
-            counts = [0] * q
-            for i in range(ncells):
-                state = (state + GOLDEN) & M64
-                z = ((state ^ (state >> 30)) * _C1) & M64
-                z = ((z ^ (z >> 27)) * _C2) & M64
-                z ^= z >> 31
-                if z < three_floor:
-                    state, z = _redraw(state, three_floor)
-                if z % 3:
-                    b = block_grid[((ay + pys[i]) % q) * q
-                                   + (ax + pxs[i]) % q]
+    for first in range(start, start + count, LANES):
+        lanes = min(LANES, start + count - first)
+        draws = _Draws(seed, first, lanes)
+        xs = draws[0]
+        ys = draws[1]
+        for k in range(lanes):
+            zx = xs[k]
+            zy = ys[k]
+            if zx < q_floor or zy < q_floor:
+                ok = _correctable_by_stream(q, cells, block_grid, seed,
+                                            first + k, one_per_cell, t)
+            elif one_per_cell:
+                ax = zx % q
+                ay = zy % q
+                anchor = ay * q + ax
+                verdict = verdicts[anchor]
+                if verdict == _UNKNOWN:
+                    cells_in_block = [0] * q
+                    for px, py in zip(pxs, pys):
+                        cells_in_block[block_grid[rows[ay + py]
+                                                  + cols[ax + px]]] += 1
+                    verdict = _SAFE if max(cells_in_block) <= t else _UNSAFE
+                    verdicts[anchor] = verdict
+                ok = True
+                if verdict == _UNSAFE:
+                    counts = [0] * q
+                    for i in range(ncells):
+                        z = draws[i + 2][k]
+                        if z < three_floor:
+                            ok = _correctable_by_stream(
+                                q, cells, block_grid, seed, first + k,
+                                one_per_cell, t)
+                            break
+                        if z % 3:
+                            b = block_grid[rows[ay + pys[i]]
+                                           + cols[ax + pxs[i]]]
+                            counts[b] += 1
+                            if counts[b] > t:
+                                ok = False
+                                break
+            else:
+                ax = zx % q
+                ay = zy % q
+                counts = [0] * q
+                perm = deck[:]
+                ok = True
+                for i, n, n_floor in steps:
+                    z = draws[i + 2][k]
+                    if z < n_floor:
+                        ok = _correctable_by_stream(
+                            q, cells, block_grid, seed, first + k,
+                            one_per_cell, t)
+                        break
+                    j = i + z % n
+                    # half a swap: slot i is never read again
+                    c = perm[j]
+                    perm[j] = perm[i]
+                    b = block_grid[rows[ay + pys[c]] + cols[ax + pxs[c]]]
                     counts[b] += 1
                     if counts[b] > t:
+                        ok = False
                         break
-            else:
+            if ok:
                 correctable += 1
-                continue
-        else:
-            counts = [0] * q
-            perm = identity[:]
-            for i in range(ncells):
-                n = nedges - i
-                state = (state + GOLDEN) & M64
-                z = ((state ^ (state >> 30)) * _C1) & M64
-                z = ((z ^ (z >> 27)) * _C2) & M64
-                z ^= z >> 31
-                if z < floor[n]:
-                    state, z = _redraw(state, floor[n])
-                j = i + z % n
-                # half a swap: slot i is never read again
-                e = perm[j]
-                perm[j] = perm[i]
-                c = e >> 1
-                b = block_grid[((ay + pys[c]) % q) * q + (ax + pxs[c]) % q]
-                counts[b] += 1
-                if counts[b] > t:
-                    break
-            else:
-                correctable += 1
-                continue
-        if len(failing) < max_record:
-            failing.append(trial)
+            elif len(failing) < max_record:
+                failing.append(first + k)
     return correctable, count - correctable, failing

@@ -3,16 +3,24 @@
 Trial i of a simulation draws from stream(seed, i), which depends on
 nothing but (seed, i).  All trials run in one pass of one kernel call,
 and a trial may stop drawing once its outcome is known without changing
-any other trial, so the results are fixed by the seed alone.  The trial kernel
-(kernels.simulate_trials) inlines this generator's steps on local ints;
-tests/oracles.simulate_by_streams draws through stream() and holds the
-kernel to it value for value.
+any other trial, so the results are fixed by the seed alone.  The trial
+kernel (kernels.simulate_trials) computes a block of trials' outputs at
+once, with mix64's steps on packed 64-bit lanes, and comes back to
+stream() only for a trial that draws a value below() rejects;
+tests/oracles.simulate_by_streams draws through stream() alone and holds
+the kernel to it value for value.
+
+The channel models' names live here, beside the streams they draw from,
+so that naming a model does not load the kernel.
 """
 
 from __future__ import annotations
 
 M64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
+
+MODEL_ONE_PER_CELL = "one-per-cell"
+MODEL_UNIFORM_CLUSTER = "uniform-cluster"
 
 
 def mix64(z: int) -> int:

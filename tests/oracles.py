@@ -17,7 +17,7 @@ from hypothesis import assume, settings, strategies as st
 from toriclat.codes import codewords
 from toriclat.kernels import MODEL_ONE_PER_CELL, MODEL_UNIFORM_CLUSTER
 from toriclat.lattice import TorusLattice, coset_label
-from toriclat.rng import stream
+from toriclat.rng import M64, stream
 from toriclat.tessellation import _SYMBOLS, Polyomino
 
 # every property test replays the same examples on every run
@@ -152,6 +152,23 @@ def burst_by_enumeration(q, cells, block_grid):
                     if witness is None:
                         witness = (ax, ay, index)
     return cases, failures, witness
+
+
+def _unxorshift(y, shift):
+    """The x with x ^ (x >> shift) == y; each pass fixes shift more bits."""
+    x = y
+    for _ in range(64 // shift):
+        x = y ^ (x >> shift)
+    return x
+
+
+def unmix64(z):
+    """The inverse of toriclat.rng.mix64: its steps undone in reverse."""
+    z = _unxorshift(z & M64, 31)
+    z = z * pow(0x94D049BB133111EB, -1, 1 << 64) & M64
+    z = _unxorshift(z, 27)
+    z = z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & M64
+    return _unxorshift(z, 30)
 
 
 def simulate_by_streams(q, cells, block_grid, seed, start, count, model,

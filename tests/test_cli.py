@@ -607,6 +607,24 @@ def test_commands_import_only_their_layers(argv):
                          "fractions"}
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--scope", "all", "--q-max", "9"],
+    ["verify", "--scope", "interleaver", "--q-max", "9"],
+    ["interleave", "--q", "5"],
+    ["tessellate", "--q", "7", "--format", "svg"],
+    ["gens", "--q", "7"],
+])
+def test_commands_that_run_no_trials_do_not_load_the_kernel(argv):
+    # interleaving imports the kernel inside simulate, and the model names
+    # live in rng
+    assert not _imported_modules(argv) & {"toriclat.kernels", "array"}
+
+
+def test_simulate_loads_the_kernel():
+    assert {"toriclat.kernels", "array"} <= _imported_modules(
+        ["simulate", "--q", "5", "--trials", "5"])
+
+
 def test_import_toriclat_loads_no_layer():
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, toriclat; print(sorted("

@@ -1,12 +1,16 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import PROPERTY, burst_by_enumeration, simulate_by_streams
+import oracles
+from oracles import (PROPERTY, burst_by_enumeration, simulate_by_streams,
+                     unmix64)
 from toriclat import interleaving, kernels
 from toriclat.interleaving import (build_interleaver, burst_exhaustive_report,
                                    burst_pattern_counts)
 from toriclat.lattice import TorusLattice
-from toriclat.rng import M64, SplitMix64, mix64, stream
+from toriclat.rng import GOLDEN, M64, SplitMix64, mix64, stream
 
 
 def test_mix64_is_stable():
@@ -165,18 +169,139 @@ def test_burst_counts_match_the_oracle_on_corrupted_grids(edits):
         burst_by_enumeration(q, cells, grid)
 
 
-def test_redraw_steps_past_rejected_outputs_like_below():
-    # the kernel's rejection path, which real thresholds (2^64 % n < n)
-    # make too rare to reach by sampling: half the outputs fall under 2^63
-    floor = 1 << 63
-    for state in range(50):
-        rng = SplitMix64(state)
-        v = rng.next_u64()
-        while v < floor:
-            v = rng.next_u64()
-        after, z = kernels._redraw(state, floor)
-        assert z == v
-        assert SplitMix64(after).next_u64() == rng.next_u64()
+def test_unmix64_inverts_mix64():
+    r = random.Random(13)
+    for v in [0, 1, M64] + [r.getrandbits(64) for _ in range(2000)]:
+        assert unmix64(mix64(v)) == v
+        assert mix64(unmix64(v)) == v
+
+
+def _seed_drawing(value, trial, d):
+    """A seed whose stream for `trial` puts `value` at raw draw d.
+
+    stream(seed, trial) starts from mix64(seed ^ mix64(trial)) and its
+    draw d is mix64(start + (d + 1) * GOLDEN).
+    """
+    return unmix64((unmix64(value) - (d + 1) * GOLDEN) & M64) ^ mix64(trial)
+
+
+class _KeepEveryDraw(SplitMix64):
+    """A stream whose below(n) never rejects: what a kernel that ignored
+    rejections would compute."""
+
+    def below(self, n):
+        return self.next_u64() % n
+
+
+def _outcome_without_rejection(monkeypatch, args):
+    with monkeypatch.context() as patch:
+        patch.setattr(oracles, "stream", lambda seed, index: _KeepEveryDraw(
+            mix64((seed & M64) ^ mix64(index))))
+        return simulate_by_streams(*args)
+
+
+# (q, block grid, model, draw): the anchor's x; the second Fisher-Yates
+# draw; and a cell's choice under one-per-cell, which counts only at an
+# anchor whose cluster meets a block twice.  Each draw decides its
+# trial's outcome, which the test checks.
+REJECTION_CASES = {
+    "anchor": (5, "corrupted", kernels.MODEL_ONE_PER_CELL, 0),
+    "fisher-yates": (5, "canonical", kernels.MODEL_UNIFORM_CLUSTER, 3),
+    "one-per-cell-cell": (7, "corrupted", kernels.MODEL_ONE_PER_CELL, 5),
+}
+
+
+@pytest.mark.parametrize("case", REJECTION_CASES)
+def test_a_rejected_draw_reruns_its_trial_through_the_stream(
+        monkeypatch, case):
+    # below(n) rejects raw outputs under 2^64 % n, which sampling never
+    # meets; a raw 0 is rejected for every n > 1 that is not a power of 2
+    q, layout, model, d = REJECTION_CASES[case]
+    q, cells, grid = _interleaver_args(q)
+    if layout == "corrupted":
+        cells, grid = _corrupted_grid(q)
+    trial = 1000
+    seed = _seed_drawing(0, trial, d)
+    rng = stream(seed, trial)
+    assert [rng.next_u64() for _ in range(d + 1)][d] == 0
+    one = (q, cells, grid, seed, trial, 1, model, 1, 1)
+    assert simulate_by_streams(*one) != \
+        _outcome_without_rejection(monkeypatch, one)
+    assert kernels.simulate_trials(*one) == simulate_by_streams(*one)
+    # the trial in the fourth lane of its block, among ordinary trials
+    window = (q, cells, grid, seed, trial - 3, 8, model, 1, 8)
+    assert kernels.simulate_trials(*window) == simulate_by_streams(*window)
+
+
+@pytest.mark.parametrize("start", [0, 2 ** 64 - 3, -3])
+def test_packed_draws_are_the_streams_draws_lane_for_lane(start):
+    draws = kernels._Draws(99, start, 40)
+    for k in range(40):
+        rng = stream(99, start + k)
+        assert [draws[d][k] for d in range(4)] == \
+            [rng.next_u64() for _ in range(4)]
+
+
+@pytest.mark.parametrize("model", [kernels.MODEL_ONE_PER_CELL,
+                                   kernels.MODEL_UNIFORM_CLUSTER])
+@pytest.mark.parametrize("start,count", [
+    (0, 0),
+    # two blocks and five trials, starting two before a multiple of LANES
+    (kernels.LANES - 2, 2 * kernels.LANES + 5),
+    # trial indices are taken mod 2^64, as mix64 masks them: past 2^64
+    # and below 0
+    (2 ** 64 - 3, 300),
+    (-3, 300),
+])
+def test_the_kernel_matches_the_oracle_across_lane_blocks(model, start,
+                                                          count):
+    q = 7
+    cells, grid = _corrupted_grid(q)
+    args = (q, cells, grid, 11, start, count, model, 1, count)
+    assert kernels.simulate_trials(*args) == simulate_by_streams(*args)
+
+
+def test_max_record_fills_across_a_block_boundary():
+    # one-per-cell fails only where the cluster meets the corrupted cell's
+    # block twice, about 1% of trials at q = 41
+    q = 41
+    cells, grid = _corrupted_grid(q)
+    model = kernels.MODEL_ONE_PER_CELL
+    first_block = simulate_by_streams(q, cells, grid, 5, 3, kernels.LANES,
+                                      model)[1]
+    args = (q, cells, grid, 5, 3, 2 * kernels.LANES, model, 1,
+            first_block + 2)
+    result = kernels.simulate_trials(*args)
+    assert result == simulate_by_streams(*args)
+    assert len(result[2]) == first_block + 2
+    assert result[2][-1] >= 3 + kernels.LANES
+
+
+# the 72 correctable trials of `simulate --q 13 --trials 100000 --model
+# uniform-cluster --seed 2026`, recorded from the one-lane-at-a-time
+# kernel this one replaced
+CORRECTABLE_Q13_SEED_2026 = (
+    3381, 3848, 4829, 6754, 8401, 8499, 9301, 9621, 11202, 11551, 12319,
+    14309, 15605, 16966, 18794, 22700, 23878, 25069, 25359, 25941, 30908,
+    31146, 32496, 32790, 35945, 42498, 45874, 46374, 47605, 47653, 48450,
+    48935, 49146, 49436, 49959, 51701, 52549, 52963, 53714, 54151, 55178,
+    58148, 59712, 60657, 64543, 69375, 69917, 71719, 72194, 72867, 74739,
+    75297, 77702, 78258, 82197, 84269, 85538, 87172, 88405, 89857, 91034,
+    91202, 91527, 93004, 93401, 94042, 95105, 96413, 97532, 97668, 98192,
+    99832)
+
+
+def test_the_benchmark_sized_run_is_pinned_trial_for_trial():
+    # the benchmark checks simulate's counts only to 5 sigma, so an exact
+    # count is held here
+    q, cells, grid = _interleaver_args(13)
+    model = kernels.MODEL_UNIFORM_CLUSTER
+    assert kernels.simulate_trials(q, cells, grid, 2026, 0, 100000,
+                                   model) == (72, 99928, [0, 1, 2, 3, 4])
+    _, _, failing = kernels.simulate_trials(q, cells, grid, 2026, 0, 100000,
+                                            model, 1, 100000)
+    assert tuple(sorted(set(range(100000)) - set(failing))) == \
+        CORRECTABLE_Q13_SEED_2026
 
 
 @st.composite
