@@ -27,7 +27,7 @@ from math import prod
 from typing import Iterator, NamedTuple
 
 from .lattice import SLOT_LEFT, SLOT_TOP, Cell, Edge, TorusLattice
-from .rng import M64, MODEL_ONE_PER_CELL, MODEL_UNIFORM_CLUSTER, stream
+from .rng import M64, MODEL_ONE_PER_CELL, MODEL_UNIFORM_CLUSTER
 from .tessellation import Polyomino, canonical_polyomino, coset_rows
 
 
@@ -180,34 +180,6 @@ class SimulationStats(NamedTuple):
     exemplars: tuple[FailureExemplar, ...]
 
 
-def _replay_trial(lattice: TorusLattice, shape: Polyomino, seed: int,
-                  trial: int, model: str) -> FailureExemplar:
-    """Re-derive one trial's anchor and errors from its stream."""
-    q = lattice.q
-    rng = stream(seed, trial)
-    ax = rng.below(q)
-    ay = rng.below(q)
-    cells = cluster_cells(lattice, shape, (ax, ay))
-    edges: list[Edge] = []
-    if model == MODEL_ONE_PER_CELL:
-        for cell in cells:
-            choice = rng.below(3)
-            if choice == 1:
-                edges.append(Edge(cell[0], cell[1], SLOT_TOP))
-            elif choice == 2:
-                edges.append(Edge(cell[0], cell[1], SLOT_LEFT))
-    else:
-        nedges = 2 * len(cells)
-        perm = list(range(nedges))
-        for i in range(len(cells)):
-            j = i + rng.below(nedges - i)
-            perm[i], perm[j] = perm[j], perm[i]
-        for e in perm[:len(cells)]:
-            cell = cells[e >> 1]
-            edges.append(Edge(cell[0], cell[1], e & 1))
-    return FailureExemplar(trial, (ax, ay), tuple(edges))
-
-
 def simulate(lattice: TorusLattice, trials: int, seed: int,
              model: str = MODEL_ONE_PER_CELL) -> SimulationStats:
     """Sample random cluster-error trials and count correctable ones.
@@ -218,8 +190,10 @@ def simulate(lattice: TorusLattice, trials: int, seed: int,
     per cluster cell; uniform-cluster draws q of the cluster's 2q edges
     without replacement, which can err both slots of one cell and thereby
     overflow a block.  A trial fails when a block gets more than t = 1
-    errors, and the first five failing trials are replayed as exemplars.
-    An unknown model raises ValueError.
+    errors.  The first five failing trials are drawn again by
+    kernels.trial_errors, the trial's one stream-driven specification,
+    and their errored cells placed on the cluster as exemplars.  An
+    unknown model raises ValueError.
     """
     # imported here, so that only the commands that run trials load it
     from . import kernels
@@ -232,7 +206,12 @@ def simulate(lattice: TorusLattice, trials: int, seed: int,
     correctable, failures, failing = kernels.simulate_trials(
         lattice.q, mapping.shape.cells, mapping.block_grid, seed & M64, 0,
         trials, model, 1, 5)
-    exemplars = tuple(_replay_trial(lattice, mapping.shape, seed, i, model)
-                      for i in failing)
+    exemplars = []
+    for i in failing:
+        ax, ay, hits = kernels.trial_errors(lattice.q, mapping.shape.cells,
+                                            seed, i, model)
+        cells = cluster_cells(lattice, mapping.shape, (ax, ay))
+        exemplars.append(FailureExemplar(
+            i, (ax, ay), tuple(Edge(*cells[c], slot) for c, slot in hits)))
     return SimulationStats(lattice.q, model, seed, trials, correctable,
-                           failures, exemplars)
+                           failures, tuple(exemplars))

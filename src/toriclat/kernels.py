@@ -10,23 +10,25 @@ Shared conventions:
     Fisher-Yates over the cluster's 2*ncells edges taking the first
     ncells (uniform-cluster).
 
-The kernel runs the trials in blocks of LANES and computes their
-splitmix64 outputs on packed lanes: one Python int holds a 64-bit value
-per trial, each in its own 128-bit slot, so that an add, shift, xor,
-multiply or mask acts on every trial of the block at once and a
-product of two 64-bit values never reaches the next slot.  Draw d of
-the block's trials is one such row, computed the first time a trial
-needs it and unpacked into an array('Q').  A draw that below(n) would
-reject shifts the rest of its stream, so a trial that reads one is run
-again through rng.stream; that has probability below n / 2^64 per draw.
+trial_errors makes a trial's draws, each through rng.stream, and is
+their one specification.  simulate_trials runs the trials in blocks of
+LANES and computes their splitmix64 outputs on packed lanes: one Python
+int holds a 64-bit value per trial, each in its own 128-bit slot, so
+that an add, shift, xor, multiply or mask acts on every trial of the
+block at once and a product of two 64-bit values never reaches the next
+slot.  Draw d of the block's trials is one such row, computed the first
+time a trial needs it and unpacked into an array('Q').
 
-The kernel also leaves out draws that cannot change a trial's outcome.
-Block counts only rise, so a trial fails at its first overflow and
-draws no further.  Under one-per-cell a block receives at most m_b
-errors, m_b being the number of cluster cells in block b, so an anchor
-with max m_b <= t is correctable whatever its cells draw; such a trial
-ends after its anchor draws.  tests/oracles.simulate_by_streams makes
-every draw through rng.stream and is held equal to this kernel.
+The lanes leave out draws that cannot change an outcome.  Block counts
+only rise, so a uniform-cluster trial fails at its first overflow.
+Under one-per-cell a block receives at most m_b errors, m_b being the
+cluster cells in block b, so a trial whose anchor has every m_b <= t
+ends after its anchor draws.  Every other trial goes to trial_errors:
+a one-per-cell trial at an anchor with some m_b > t (never, on the
+interleaver's own grid with t >= 1), and a trial that reads a packed
+draw below(n) would reject (probability below n / 2^64 per draw).
+tests/oracles.simulate_by_streams makes every draw through rng.stream
+and is held equal to this kernel.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import sys
 from array import array
 from typing import Sequence
 
+from .lattice import SLOT_LEFT, SLOT_TOP
 from .rng import (GOLDEN, M64, MODEL_ONE_PER_CELL, MODEL_UNIFORM_CLUSTER,
                   stream)
 
@@ -97,31 +100,28 @@ class _Draws(dict):
         return row
 
 
-def _correctable_by_stream(
-    q: int, cells: Sequence[tuple[int, int]], block_grid: Sequence[int],
-    seed: int, trial: int, one_per_cell: bool, t: int,
-) -> bool:
-    """One trial's outcome with every draw through rng.stream, for a
-    trial whose packed draws include one that below(n) rejects."""
+def trial_errors(
+    q: int, cells: Sequence[tuple[int, int]], seed: int, trial: int,
+    model: str,
+) -> tuple[int, int, list[tuple[int, int]]]:
+    """One trial's anchor (ax, ay) and errored edges, each a (cell index,
+    slot) pair, with every draw through rng.stream; any model but
+    one-per-cell is uniform-cluster."""
     rng = stream(seed, trial)
     ax = rng.below(q)
     ay = rng.below(q)
-    blocks = [block_grid[((ay + py) % q) * q + (ax + px) % q]
-              for px, py in cells]
-    counts = [0] * q
-    nedges = 2 * len(cells)
-    perm = list(range(nedges))
-    for i in range(len(cells)):
-        if one_per_cell:
-            if not rng.below(3):
-                continue
-            b = blocks[i]
-        else:
-            j = i + rng.below(nedges - i)
-            perm[i], perm[j] = perm[j], perm[i]
-            b = blocks[perm[i] >> 1]
-        counts[b] += 1
-    return max(counts) <= t
+    ncells = len(cells)
+    if model == MODEL_ONE_PER_CELL:
+        # choice 0 errs nothing, 1 the top edge, 2 the left edge
+        choices = [rng.below(3) for _ in range(ncells)]
+        return ax, ay, [(i, SLOT_TOP if c == 1 else SLOT_LEFT)
+                        for i, c in enumerate(choices) if c]
+    # edge e is slot e & 1 of cell e >> 1
+    perm = list(range(2 * ncells))
+    for i in range(ncells):
+        j = i + rng.below(2 * ncells - i)
+        perm[i], perm[j] = perm[j], perm[i]
+    return ax, ay, [(e >> 1, e & 1) for e in perm[:ncells]]
 
 
 def simulate_trials(
@@ -151,7 +151,6 @@ def simulate_trials(
     rows = [y * q for y in range(q)] * 2
     # below(n) rejects raw outputs under 2^64 % n
     q_floor = (1 << 64) % q
-    three_floor = (1 << 64) % 3
     seed &= M64
     one_per_cell = model == MODEL_ONE_PER_CELL
     verdicts = bytearray(q * q)  # per one-per-cell anchor, lazily
@@ -171,9 +170,9 @@ def simulate_trials(
         for k in range(lanes):
             zx = xs[k]
             zy = ys[k]
+            # ok is None for a trial that leaves the packed lanes
             if zx < q_floor or zy < q_floor:
-                ok = _correctable_by_stream(q, cells, block_grid, seed,
-                                            first + k, one_per_cell, t)
+                ok = None
             elif one_per_cell:
                 ax = zx % q
                 ay = zy % q
@@ -186,23 +185,7 @@ def simulate_trials(
                                                   + cols[ax + px]]] += 1
                     verdict = _SAFE if max(cells_in_block) <= t else _UNSAFE
                     verdicts[anchor] = verdict
-                ok = True
-                if verdict == _UNSAFE:
-                    counts = [0] * q
-                    for i in range(ncells):
-                        z = draws[i + 2][k]
-                        if z < three_floor:
-                            ok = _correctable_by_stream(
-                                q, cells, block_grid, seed, first + k,
-                                one_per_cell, t)
-                            break
-                        if z % 3:
-                            b = block_grid[rows[ay + pys[i]]
-                                           + cols[ax + pxs[i]]]
-                            counts[b] += 1
-                            if counts[b] > t:
-                                ok = False
-                                break
+                ok = True if verdict == _SAFE else None
             else:
                 ax = zx % q
                 ay = zy % q
@@ -212,9 +195,7 @@ def simulate_trials(
                 for i, n, n_floor in steps:
                     z = draws[i + 2][k]
                     if z < n_floor:
-                        ok = _correctable_by_stream(
-                            q, cells, block_grid, seed, first + k,
-                            one_per_cell, t)
+                        ok = None
                         break
                     j = i + z % n
                     # half a swap: slot i is never read again
@@ -225,6 +206,13 @@ def simulate_trials(
                     if counts[b] > t:
                         ok = False
                         break
+            if ok is None:
+                ax, ay, hits = trial_errors(q, cells, seed, first + k, model)
+                counts = [0] * q
+                for i, _ in hits:
+                    counts[block_grid[rows[ay + pys[i]]
+                                      + cols[ax + pxs[i]]]] += 1
+                ok = max(counts) <= t
             if ok:
                 correctable += 1
             elif len(failing) < max_record:

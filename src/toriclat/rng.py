@@ -5,8 +5,9 @@ nothing but (seed, i).  All trials run in one pass of one kernel call,
 and a trial may stop drawing once its outcome is known without changing
 any other trial, so the results are fixed by the seed alone.  The trial
 kernel (kernels.simulate_trials) computes a block of trials' outputs at
-once, with mix64's steps on packed 64-bit lanes, and comes back to
-stream() only for a trial that draws a value below() rejects;
+once, with mix64's steps on packed 64-bit lanes; a trial it cannot
+settle there, and each exemplar simulate reports, is drawn through
+stream() by kernels.trial_errors, the one place the package calls it.
 tests/oracles.simulate_by_streams draws through stream() alone and holds
 the kernel to it value for value.
 

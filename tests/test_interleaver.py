@@ -6,6 +6,7 @@ from hypothesis import given
 
 from oracles import (PROPERTY, block_grid_by_cover, block_grid_by_labels,
                      odd_q_and_polyomino)
+from toriclat import kernels
 from toriclat.interleaving import (MODEL_ONE_PER_CELL, MODEL_UNIFORM_CLUSTER,
                                    build_interleaver,
                                    burst_exhaustive_report, cluster_cells,
@@ -213,6 +214,68 @@ def test_simulate_exemplars_replay_to_uncorrectable_clusters():
             assert (edge.x, edge.y) in cells
         ok, _ = is_correctable(mapping, set(ex.errored_edges))
         assert not ok
+
+
+# the exemplars of `simulate --q 13 --trials 100000 --model
+# uniform-cluster --seed 2026`, each (trial, anchor, errored edges as
+# (x, y, slot)), recorded from the replay that drew exemplars before
+# kernels.trial_errors did
+EXEMPLARS_Q13_SEED_2026 = (
+    (0, (7, 12), ((10, 12, 1), (11, 12, 0), (8, 12, 0), (7, 1, 1),
+                  (7, 12, 0), (11, 12, 1), (10, 1, 1), (8, 0, 1), (7, 1, 0),
+                  (7, 0, 0), (9, 12, 0), (9, 1, 1), (8, 1, 0))),
+    (1, (5, 10), ((7, 10, 1), (6, 10, 0), (7, 12, 1), (5, 10, 0),
+                  (9, 10, 0), (9, 10, 1), (6, 11, 1), (8, 10, 1), (6, 12, 1),
+                  (8, 12, 1), (8, 11, 0), (8, 11, 1), (5, 11, 0))),
+    (2, (4, 9), ((5, 11, 1), (5, 9, 1), (8, 9, 1), (5, 10, 0), (6, 9, 1),
+                 (4, 9, 1), (6, 10, 1), (5, 10, 1), (5, 9, 0), (7, 11, 1),
+                 (4, 9, 0), (4, 11, 1), (4, 11, 0))),
+    (3, (5, 10), ((8, 11, 0), (5, 10, 0), (5, 10, 1), (6, 11, 0),
+                  (8, 12, 0), (6, 11, 1), (7, 12, 1), (8, 10, 1), (7, 11, 0),
+                  (7, 10, 0), (5, 11, 0), (7, 10, 1), (9, 10, 1))),
+    (4, (7, 12), ((7, 12, 0), (10, 0, 0), (7, 0, 0), (9, 12, 0), (10, 1, 0),
+                  (9, 0, 1), (9, 1, 0), (8, 12, 1), (10, 12, 0), (7, 12, 1),
+                  (10, 0, 1), (11, 12, 0), (8, 0, 0))),
+)
+
+
+def test_the_benchmark_sized_run_pins_its_exemplars_edge_for_edge():
+    stats = simulate(TorusLattice(13), 100000, seed=2026,
+                     model=MODEL_UNIFORM_CLUSTER)
+    assert stats.exemplars == tuple(
+        (trial, anchor, tuple(Edge(*edge) for edge in edges))
+        for trial, anchor, edges in EXEMPLARS_Q13_SEED_2026)
+
+
+# kernels.trial_errors on the q = 7 canonical shape: (model, seed, trial,
+# anchor, (cell index, slot) hits), recorded from the same replay; under
+# one-per-cell choice 1 erred the top edge and choice 2 the left edge
+TRIAL_ERRORS_Q7 = (
+    (MODEL_ONE_PER_CELL, 0, 0, (2, 1),
+     [(0, 0), (1, 0), (2, 0), (4, 1), (5, 1), (6, 1)]),
+    (MODEL_ONE_PER_CELL, 2026, 17, (5, 6),
+     [(1, 1), (2, 0), (4, 1), (5, 0), (6, 1)]),
+    (MODEL_ONE_PER_CELL, 2 ** 64 - 1, 2 ** 64 - 1, (5, 3),
+     [(0, 0), (2, 1), (4, 1), (5, 1), (6, 1)]),
+    (MODEL_ONE_PER_CELL, 5, 123456, (2, 2),
+     [(0, 0), (1, 1), (2, 0), (3, 1), (5, 1), (6, 1)]),
+    (MODEL_UNIFORM_CLUSTER, 0, 0, (2, 1),
+     [(4, 1), (6, 1), (0, 0), (3, 1), (1, 1), (0, 1), (1, 0)]),
+    (MODEL_UNIFORM_CLUSTER, 2026, 17, (5, 6),
+     [(1, 0), (2, 0), (1, 1), (5, 0), (5, 1), (4, 1), (6, 0)]),
+    (MODEL_UNIFORM_CLUSTER, 2 ** 64 - 1, 2 ** 64 - 1, (5, 3),
+     [(1, 1), (3, 1), (6, 1), (6, 0), (5, 1), (5, 0), (2, 0)]),
+    (MODEL_UNIFORM_CLUSTER, 5, 123456, (2, 2),
+     [(0, 1), (3, 1), (3, 0), (1, 0), (4, 1), (6, 1), (5, 1)]),
+)
+
+
+@pytest.mark.parametrize("case", range(len(TRIAL_ERRORS_Q7)))
+def test_trial_errors_are_pinned_for_both_models(case):
+    model, seed, trial, anchor, hits = TRIAL_ERRORS_Q7[case]
+    cells = canonical_polyomino(TorusLattice(7)).cells
+    assert kernels.trial_errors(7, cells, seed, trial, model) == \
+        (*anchor, hits)
 
 
 def test_simulate_is_deterministic_and_worker_independent():

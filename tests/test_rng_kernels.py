@@ -242,8 +242,14 @@ def test_packed_draws_are_the_streams_draws_lane_for_lane(start):
             [rng.next_u64() for _ in range(4)]
 
 
-@pytest.mark.parametrize("model", [kernels.MODEL_ONE_PER_CELL,
-                                   kernels.MODEL_UNIFORM_CLUSTER])
+@pytest.mark.parametrize("model,t", [
+    pytest.param(kernels.MODEL_ONE_PER_CELL, 1, id="one-per-cell"),
+    pytest.param(kernels.MODEL_UNIFORM_CLUSTER, 1, id="uniform-cluster"),
+    # every one-per-cell anchor is unsafe at t = 0, so each trial goes
+    # through kernels.trial_errors
+    pytest.param(kernels.MODEL_ONE_PER_CELL, 0, id="one-per-cell-t0"),
+    pytest.param(kernels.MODEL_UNIFORM_CLUSTER, 0, id="uniform-cluster-t0"),
+])
 @pytest.mark.parametrize("start,count", [
     (0, 0),
     # two blocks and five trials, starting two before a multiple of LANES
@@ -253,11 +259,11 @@ def test_packed_draws_are_the_streams_draws_lane_for_lane(start):
     (2 ** 64 - 3, 300),
     (-3, 300),
 ])
-def test_the_kernel_matches_the_oracle_across_lane_blocks(model, start,
+def test_the_kernel_matches_the_oracle_across_lane_blocks(model, t, start,
                                                           count):
     q = 7
     cells, grid = _corrupted_grid(q)
-    args = (q, cells, grid, 11, start, count, model, 1, count)
+    args = (q, cells, grid, 11, start, count, model, t, count)
     assert kernels.simulate_trials(*args) == simulate_by_streams(*args)
 
 
