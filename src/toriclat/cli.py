@@ -341,18 +341,20 @@ def cmd_interleave(args) -> int:
 
 def _map_json(mapping: InterleaverMap) -> str:
     """{"q": q, "map": [[i, x, y, slot], ...]} as json.dumps(indent=2)
-    prints it, formatted a block of stream positions at a time."""
+    prints it, one % of a q-entry template per block and slot."""
     from .lattice import SLOT_LEFT, SLOT_TOP
-    parts = [f'{{\n  "q": {mapping.lattice.q},\n  "map": [\n']
+    q = mapping.lattice.q
+    templates = [",\n".join([f"    [\n      %d,\n      %d,\n      %d,\n      "
+                             f"{slot}\n    ]"] * q)
+                 for slot in (SLOT_TOP, SLOT_LEFT)]
+    fields = [0] * (3 * q)
+    parts = [f'{{\n  "q": {q},\n  "map": [\n']
     i = 0
-    for cells in mapping.block_cells():
-        xy = [f"{x},\n      {y},\n      " for x, y in cells]
-        for slot in (SLOT_TOP, SLOT_LEFT):
-            parts.append(",\n".join(
-                [f"    [\n      {k},\n      {c}{slot}\n    ]"
-                 for k, c in enumerate(xy, i)]))
-            parts.append(",\n")
-            i += len(xy)
+    for fields[1::3], fields[2::3] in mapping.block_columns():
+        for template in templates:
+            fields[0::3] = range(i, i + q)
+            parts += template % tuple(fields), ",\n"
+            i += q
     parts[-1] = "\n  ]\n}\n"  # in place of the last separator
     return "".join(parts)
 

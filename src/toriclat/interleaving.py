@@ -22,39 +22,38 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import chain, combinations, repeat
 from math import prod
 from typing import Iterator, NamedTuple
 
 from .lattice import SLOT_LEFT, SLOT_TOP, Cell, Edge, TorusLattice
 from .rng import M64, MODEL_ONE_PER_CELL, MODEL_UNIFORM_CLUSTER
-from .tessellation import Polyomino, canonical_polyomino, coset_rows
+from .tessellation import Grid, Polyomino, canonical_polyomino, coset_rows
 
 
 class InterleaverMap(NamedTuple("InterleaverMap", [
         ("lattice", TorusLattice), ("shape", Polyomino),
         ("block_grid", tuple[int, ...])])):
-    """Bijection between stream positions 0..2q**2-1 and torus edges; with
-    no __slots__, an instance has the __dict__ cached_property fills."""
+    """Bijection between stream positions 0..2q**2-1 and torus edges, laid
+    out by block_columns; without __slots__, so cached_property caches."""
 
-    def block_cells(self) -> Iterator[list[Cell]]:
-        """Each block's q cells in stream order, block by block.
+    def block_columns(self) -> Iterator[tuple[list[int], list[int]]]:
+        """Each block's q cells in stream order, as an x and a y column.
 
-        Block b holds c_b + k*(1, g) mod q for k = 0..q-1; its stream
-        positions take the top edges of these cells, then the left edges.
-        """
-        q, g = self.lattice.q, self.lattice.g
+        Block b holds c_b + k*(1, g) mod q for k = 0..q-1: x runs up range(q)
+        from bx, y down it from by in steps of -g mod q = 3, both sliced off
+        one cycle.  Its positions take these top edges, then the left ones."""
+        q, step = self.lattice.q, -self.lattice.g % self.lattice.q
+        cycle = list(range(q)) * (step + 1)
         for bx, by in self.shape.cells:
-            yield [((bx + k) % q, (by + k * g) % q) for k in range(q)]
+            yield cycle[bx:bx + q], cycle[by + step * q:by:-step]
 
     @cached_property
     def stream_to_edge(self) -> tuple[Edge, ...]:
         """The torus edge at each stream position, block by block."""
-        edges: list[Edge] = []
-        for cells in self.block_cells():
-            edges.extend(Edge(x, y, SLOT_TOP) for x, y in cells)
-            edges.extend(Edge(x, y, SLOT_LEFT) for x, y in cells)
-        return tuple(edges)
+        return tuple(chain.from_iterable(
+            map(Edge, xs, ys, repeat(slot)) for xs, ys in self.block_columns()
+            for slot in (SLOT_TOP, SLOT_LEFT)))
 
     def edge_block(self, edge: Edge) -> int:
         """The block of an edge's cell, its coordinates taken mod q."""
@@ -74,8 +73,8 @@ def build_interleaver(
     """
     if shape is None:
         shape = canonical_polyomino(lattice)
-    rows = coset_rows(lattice, shape)
-    return InterleaverMap(lattice, shape, tuple(chain.from_iterable(rows)))
+    cells = chain.from_iterable(coset_rows(lattice, shape))
+    return InterleaverMap(lattice, shape, tuple(Grid(lattice.q, cells)))
 
 
 def deinterleave(mapping: InterleaverMap, errors) -> list[int]:

@@ -162,6 +162,20 @@ def coset_rows(lattice: TorusLattice, shape: Polyomino) -> Iterator[list[int]]:
     return (cycle[y:y + step * q:step] for y in range(q))
 
 
+class Grid:
+    """A q x q grid's values, whose length tuple() reads to allocate the
+    grid whole first: one too large for memory fails before a cell."""
+
+    def __init__(self, q: int, values: Iterable[int]) -> None:
+        self.size, self.values = q * q, values
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.values)
+
+
 def tessellate(lattice: TorusLattice, shape: Polyomino) -> Tiling:
     """Tile the torus by the shape; every cell gets a unique anchor index.
 
@@ -171,9 +185,9 @@ def tessellate(lattice: TorusLattice, shape: Polyomino) -> Tiling:
     q = lattice.q
     px = [x for x, _ in shape.cells]
     ks = list(range(q))  # one shared int object per anchor
-    assign = tuple(ks[(x - px[b]) % q] for row in coset_rows(lattice, shape)
-                   for x, b in enumerate(row))
-    return Tiling(lattice, shape, assign)
+    anchors = (ks[(x - px[b]) % q] for row in coset_rows(lattice, shape)
+               for x, b in enumerate(row))
+    return Tiling(lattice, shape, tuple(Grid(q, anchors)))
 
 
 _SYMBOLS = "0123456789abcdefghijklmnopqrstuvwxyz"

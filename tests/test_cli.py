@@ -554,12 +554,25 @@ def test_interleave_prints_the_stream_map_as_indented_json(capsys, q):
     assert out == json.dumps(payload, indent=2) + "\n"
 
 
-def test_svg_golden_is_the_benchmark_digest():
+def _benchmark_digest(command):
     digests = json.loads((Path(__file__).parents[1] / "perfbench"
                           / "digests.json").read_text(encoding="utf-8"))
+    return digests[command]
+
+
+def test_svg_golden_is_the_benchmark_digest():
     data = (GOLDEN / "tessellate_q7.svg").read_bytes()
     assert hashlib.sha256(data).hexdigest() == \
-        digests["tessellate --q 7 --format svg"]
+        _benchmark_digest("tessellate --q 7 --format svg")
+
+
+def test_interleave_at_benchmark_size_is_the_benchmark_digest(capsys):
+    # multi-digit stream indices and coordinates, past the json.dumps
+    # comparison's q <= 41
+    code, out = run(capsys, "interleave", "--q", "301")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        _benchmark_digest("interleave --q 301")
 
 
 @pytest.mark.parametrize("name,argv", [

@@ -7,13 +7,15 @@ from hypothesis import given
 from oracles import (PROPERTY, block_grid_by_cover, block_grid_by_labels,
                      odd_q_and_polyomino)
 from toriclat import kernels
+from toriclat.cli import _map_json
 from toriclat.interleaving import (MODEL_ONE_PER_CELL, MODEL_UNIFORM_CLUSTER,
                                    build_interleaver,
                                    burst_exhaustive_report, cluster_cells,
                                    deinterleave,
                                    double_slot_uncorrectable_exhaustive,
                                    is_correctable, simulate)
-from toriclat.lattice import SLOT_LEFT, SLOT_TOP, Edge, TorusLattice
+from toriclat.lattice import (SLOT_LEFT, SLOT_TOP, Edge, TorusLattice,
+                              coset_label)
 from toriclat.tessellation import (Polyomino, canonical_polyomino, lee_sphere,
                                    tessellate)
 
@@ -104,12 +106,44 @@ def test_block_grid_matches_the_cover_oracle_on_random_shapes(q_and_shape):
             tessellate(lat, shape)
         assert str(got.value) == str(tiling.value)
     else:
-        assert build_interleaver(lat, shape).block_grid == expected
+        mapping = build_interleaver(lat, shape)
+        assert mapping.block_grid == expected
+        _assert_block_columns_follow_the_coset_label(mapping)
+
+
+def _assert_block_columns_follow_the_coset_label(mapping):
+    q, g = mapping.lattice.q, mapping.lattice.g
+    columns = list(mapping.block_columns())
+    assert len(columns) == q
+    covered = []
+    for (bx, by), (xs, ys) in zip(mapping.shape.cells, columns):
+        block = list(zip(xs, ys, strict=True))
+        assert block == [((bx + k) % q, (by + k * g) % q) for k in range(q)]
+        assert {coset_label(q, g, x, y) for x, y in block} == \
+            {coset_label(q, g, bx, by)}
+        covered += block
+    assert sorted(covered) == sorted(mapping.lattice.cells())
+
+
+@pytest.mark.parametrize("q", range(5, 62, 2))
+def test_block_columns_follow_the_coset_label(q):
+    # q = 9, 15, ...: g = q - 3 is then not invertible mod q
+    _assert_block_columns_follow_the_coset_label(
+        build_interleaver(TorusLattice(q)))
 
 
 def test_build_accepts_the_lee_sphere():
+    # a shape that is not canonical: its first cell is not the origin
     mapping = build_interleaver(TorusLattice(5), lee_sphere())
     assert len(set(mapping.stream_to_edge)) == 50
+    assert mapping.shape.cells[0] != (0, 0)
+    _assert_block_columns_follow_the_coset_label(mapping)
+    edges = [Edge((bx + k) % 5, (by + 2 * k) % 5, slot)
+             for bx, by in mapping.shape.cells
+             for slot in (SLOT_TOP, SLOT_LEFT) for k in range(5)]
+    assert mapping.stream_to_edge == tuple(edges)
+    payload = {"q": 5, "map": [[i, *edge] for i, edge in enumerate(edges)]}
+    assert _map_json(mapping) == json.dumps(payload, indent=2) + "\n"
 
 
 def test_deinterleave_counts():

@@ -9,7 +9,7 @@ from oracles import (PROPERTY, ascii_by_cells, fundamental_by_pairs_and_cover,
                      odd_q_and_polyomino, svg_by_cells, tiling_by_translates)
 from toriclat.codes import codewords
 from toriclat.lattice import TorusLattice
-from toriclat.tessellation import (Polyomino, canonical_polyomino,
+from toriclat.tessellation import (Grid, Polyomino, canonical_polyomino,
                                    is_fundamental_region, lee_sphere,
                                    render_ascii, render_svg, svg_rows,
                                    tessellate)
@@ -190,6 +190,21 @@ def test_full_rows_and_columns_are_transversals_of_a_perfect_code():
     column = Polyomino.from_cells([(0, i) for i in range(5)])
     assert is_fundamental_region(lat, row)[0]
     assert is_fundamental_region(lat, column)[0]
+
+
+def test_a_grid_is_allocated_whole_before_a_value_is_made():
+    made = []
+
+    def values():
+        made.append(1)
+        yield 0
+
+    # 8 * q * q bytes of slots exceed any address space, so tuple()
+    # refuses the size at once, before it allocates or asks for a value
+    with pytest.raises(MemoryError):
+        tuple(Grid(2 ** 30 + 1, values()))
+    assert made == []
+    assert tuple(Grid(5, iter(range(25)))) == tuple(range(25))
 
 
 def test_tessellate_rejects_non_fundamental_shapes():
