@@ -62,7 +62,16 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _json(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, default=_fraction) + "\n"
+
+
+def _fraction(value) -> dict:
+    """json.dumps's hook for a Fraction, the one value it cannot write;
+    fractions is loaded already by the layer that made one."""
+    from fractions import Fraction
+    if not isinstance(value, Fraction):
+        raise TypeError(f"{type(value).__name__} is not JSON serializable")
+    return {"exact": str(value), "value": float(value)}
 
 
 def _lattice(q: int) -> TorusLattice:
@@ -397,24 +406,13 @@ def cmd_tables(args) -> int:
     from . import tables
     ids = list(tables.TABLE_IDS) if args.which == "all" else [args.which]
     if args.format == "json":
-        payload = [_jsonable(tables.table_data(tid)) for tid in ids]
+        payload = [tables.table_data(tid) for tid in ids]
         text = _json(payload if len(payload) > 1 else payload[0])
     else:
         text = "\n".join(tables.render_table(tid, args.precision)
                          for tid in ids)
     _emit(text, args.out)
     return EXIT_OK
-
-
-def _jsonable(value):
-    from fractions import Fraction
-    if isinstance(value, Fraction):
-        return {"exact": str(value), "value": float(value)}
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
 
 
 # ----------------------------------------------------------------- verify
@@ -444,14 +442,16 @@ def _verify_distance(q_max: int, report) -> bool:
 
 
 def _verify_tiling(q_max: int, report) -> bool:
+    from . import tessellation
     from .lattice import TorusLattice
-    from .tessellation import canonical_polyomino
     ok = True
     for q in range(5, q_max + 1, 2):
-        try:  # it checks its shape with is_fundamental_region
-            canonical_polyomino(TorusLattice(q))
-        except RuntimeError as exc:
-            report(f"FAIL tiling q={q}: {exc}")
+        lattice = TorusLattice(q)
+        good, witness = tessellation.is_fundamental_region(
+            lattice, tessellation.canonical_polyomino(lattice))
+        if not good:
+            report(f"FAIL tiling q={q}: internal error: canonical shape for "
+                   f"q={q} is not a fundamental region (witness {witness})")
             ok = False
     if ok:
         report(f"ok tiling: canonical shapes tile all odd q in [5, {q_max}]")
@@ -462,29 +462,31 @@ def _verify_interleaver(q_max: int, report) -> bool:
     from . import interleaving
     from .lattice import TorusLattice
     ok = True
+    small = []  # the q <= 9 maps, kept for the exhaustive sweeps
     for q in range(5, q_max + 1, 2):
-        lattice = TorusLattice(q)
-        mapping = interleaving.build_interleaver(lattice)
+        mapping = interleaving.build_interleaver(TorusLattice(q))
         if len(set(mapping.stream_to_edge)) != 2 * q * q:
             report(f"FAIL interleaver q={q}: stream map is not a bijection")
             ok = False
+        if q <= 9:
+            small.append(mapping)
     if ok:
         report(f"ok interleaver: bijection on 2q^2 edges for odd q in [5, {q_max}]")
-    for q in range(5, min(q_max, 9) + 1, 2):
-        cases, failures, witness = interleaving.burst_exhaustive_report(
-            TorusLattice(q))
+    for mapping in small:
+        q = mapping.lattice.q
+        cases, failures, witness = interleaving.burst_exhaustive_report(mapping)
         if failures:
             report(f"FAIL burst q={q}: {failures} of {cases} patterns "
                    f"uncorrectable, first witness {witness}")
             ok = False
         else:
             report(f"ok burst q={q}: {cases} cluster patterns all correctable")
-    if q_max >= 5:
-        if interleaving.double_slot_uncorrectable_exhaustive(TorusLattice(5)):
-            report("ok negative control q=5: doubled cells always flagged")
-        else:
-            report("FAIL negative control q=5: a doubled cell went unflagged")
-            ok = False
+    # cmd_verify keeps q_max >= 5, so small[0] is the q = 5 map
+    if interleaving.double_slot_uncorrectable_exhaustive(small[0]):
+        report("ok negative control q=5: doubled cells always flagged")
+    else:
+        report("FAIL negative control q=5: a doubled cell went unflagged")
+        ok = False
     return ok
 
 

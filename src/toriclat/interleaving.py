@@ -68,8 +68,8 @@ def build_interleaver(
 
     The shape must be a fundamental region; the default is the canonical
     tiling shape.  Block b is the coset of the shape's cell b, so the
-    block grid is the rows of `coset_rows`, whose ValueError a shape that
-    is not a fundamental region raises.
+    block grid is the rows of `coset_rows`, whose check is the only one a
+    shape gets: one that is not a fundamental region raises its ValueError.
     """
     if shape is None:
         shape = canonical_polyomino(lattice)
@@ -100,17 +100,17 @@ def cluster_cells(lattice: TorusLattice, shape: Polyomino, anchor: Cell
     return tuple(lattice.translate(anchor, offset) for offset in shape.cells)
 
 
-def burst_exhaustive_report(lattice: TorusLattice
+def burst_exhaustive_report(mapping: InterleaverMap
                             ) -> tuple[int, int, tuple[int, int, int] | None]:
-    """Account for all q**2 anchors x 3**q one-edge-per-cell patterns.
+    """Account for all q**2 anchors x 3**q one-edge-per-cell patterns of
+    a built map's shape against its block grid.
 
     Returns (cases, failures, witness); a failing witness is (ax, ay,
     pattern_index).  Limited to q <= 9.
     """
-    if lattice.q > 9:
+    if mapping.lattice.q > 9:
         raise ValueError("exhaustive burst enumeration is limited to q <= 9")
-    mapping = build_interleaver(lattice)
-    return burst_pattern_counts(lattice.q, mapping.shape.cells,
+    return burst_pattern_counts(mapping.lattice.q, mapping.shape.cells,
                                 mapping.block_grid)
 
 
@@ -146,10 +146,11 @@ def burst_pattern_counts(
     return q * q * total, failures, witness
 
 
-def double_slot_uncorrectable_exhaustive(lattice: TorusLattice) -> bool:
-    """Negative control: erroring both slots of any one cluster cell must
-    be reported uncorrectable, for every anchor and every cell."""
-    mapping = build_interleaver(lattice)
+def double_slot_uncorrectable_exhaustive(mapping: InterleaverMap) -> bool:
+    """Negative control on a built map: erroring both slots of any one
+    cluster cell must be reported uncorrectable, for every anchor and
+    every cell of the map's shape."""
+    lattice = mapping.lattice
     for anchor in lattice.cells():
         for cell in cluster_cells(lattice, mapping.shape, anchor):
             errors = {Edge(cell[0], cell[1], SLOT_TOP),

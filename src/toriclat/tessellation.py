@@ -74,28 +74,22 @@ def _connected(cells: tuple[Cell, ...]) -> bool:
 
 
 def canonical_polyomino(lattice: TorusLattice) -> Polyomino:
-    """The q-cell tiling shape for the code on the given lattice.
+    """The q-cell tiling shape for the code on the given lattice, built
+    normalized and row-major, so block b of the interleaver is cell b.
 
     For n >= 3 it is a (q'+1)-wide, 3-tall block plus a one-wide strip of
     height r in column q'+1, where g = 3*q' + r.  For q = 5 it is the 2x2
     square plus a single cell; the extra cell attaches at (2, 1), since
     placing it at (2, 0) would put two cells a codeword apart
-    ((2,0) - (0,1) = (2,-1), which marks a region anchor).
+    ((2,0) - (0,1) = (2,-1), which marks a region anchor).  It is not
+    checked here: `coset_rows` checks every shape on its way into a
+    tiling or an interleaver, and `verify --scope tiling` checks these.
     """
-    q = lattice.q
-    if q == 5:
-        cells = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1)]
-    else:
-        q_prime, r = divmod(lattice.g, 3)
-        cells = [(i, j) for i in range(q_prime + 1) for j in range(3)]
-        cells += [(q_prime + 1, j) for j in range(r)]
-    shape = Polyomino.from_cells(cells)
-    ok, witness = is_fundamental_region(lattice, shape)
-    if not ok:
-        raise RuntimeError(
-            f"internal error: canonical shape for q={q} is not a fundamental "
-            f"region (witness {witness})")
-    return shape
+    if lattice.q == 5:
+        return Polyomino(((0, 0), (1, 0), (0, 1), (1, 1), (2, 1)))
+    q_prime, r = divmod(lattice.g, 3)
+    return Polyomino(tuple((i, j) for j in range(3)
+                           for i in range(q_prime + 1 + (j < r))))
 
 
 def lee_sphere() -> Polyomino:
@@ -143,10 +137,12 @@ class Tiling(NamedTuple):
 def coset_rows(lattice: TorusLattice, shape: Polyomino) -> Iterator[list[int]]:
     """Row by row, the index of the shape cell whose coset holds each cell.
 
-    A shape that is not a fundamental region raises ValueError naming two
-    of its cells in one coset.  Along a row the label L(x, y) = (y - g*x)
-    mod q steps by -g mod q, so row y is every such step of the
-    label-indexed owners from label y on; the rows share their ints.
+    This is the check every shape gets on its way into a tiling or an
+    interleaver: one that is not a fundamental region raises ValueError
+    naming two of its cells in one coset.  Along a row the label
+    L(x, y) = (y - g*x) mod q steps by -g mod q, so row y is every such
+    step of the label-indexed owners from label y on; the rows share
+    their ints.
     """
     ok, witness = is_fundamental_region(lattice, shape)
     if not ok:

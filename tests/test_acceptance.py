@@ -127,7 +127,8 @@ def test_criterion_08_burst_guarantee():
     start = time.perf_counter()
     ok = True
     for q in (5, 7, 9):
-        cases, failures, _ = burst_exhaustive_report(TorusLattice(q))
+        cases, failures, _ = burst_exhaustive_report(
+            build_interleaver(TorusLattice(q)))
         ok = ok and cases == q * q * 3 ** q and failures == 0
     exhaustive_elapsed = time.perf_counter() - start
     ok = ok and exhaustive_elapsed < 60.0
@@ -145,7 +146,7 @@ def test_criterion_08_burst_guarantee():
 def test_criterion_09_negative_control():
     start = time.perf_counter()
     lattice = TorusLattice(5)
-    ok = double_slot_uncorrectable_exhaustive(lattice)
+    ok = double_slot_uncorrectable_exhaustive(build_interleaver(lattice))
     # exhaustive means all 25 anchors x 5 cells were candidates
     mapping = build_interleaver(lattice)
     anchors = list(lattice.cells())

@@ -377,6 +377,34 @@ def test_verify_reports_a_broken_canonical_shape_as_a_violation(
     assert captured.err == ""
 
 
+@pytest.mark.parametrize("argv,builds,checks", [
+    (["interleave", "--q", "7"], 1, 1),
+    (["tessellate", "--q", "7"], 0, 1),
+    (["simulate", "--q", "7", "--trials", "10"], 1, 1),
+    (["verify", "--scope", "interleaver", "--q-max", "41"], 19, 19),
+    (["verify", "--scope", "tiling", "--q-max", "41"], 0, 19),
+], ids=["interleave", "tessellate", "simulate", "verify-interleaver",
+        "verify-tiling"])
+def test_each_shape_is_checked_once_and_each_map_built_once(
+        capsys, monkeypatch, argv, builds, checks):
+    from toriclat import interleaving, tessellation
+    calls = {"build": 0, "check": 0}
+
+    def counting(key, real):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(interleaving, "build_interleaver", counting(
+        "build", interleaving.build_interleaver))
+    monkeypatch.setattr(tessellation, "is_fundamental_region", counting(
+        "check", tessellation.is_fundamental_region))
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert calls == {"build": builds, "check": checks}
+
+
 def test_verify_bad_qmax_is_usage_error(capsys):
     code, _ = run(capsys, "verify", "--q-max", "4")
     assert code == 2
@@ -719,7 +747,7 @@ REMOVED_NAMES = (
     "rate_gain",  # the same properties
     "generates_same_code",  # tests/oracles.py, a brute-force span check
     "min_distance_bruteforce",  # distance_report(lattice)
-    "burst_correctability_exhaustive",  # burst_exhaustive_report(l)[1] == 0
+    "burst_correctability_exhaustive",  # burst_exhaustive_report(map)[1] == 0
     "CodewordSet",  # codewords(lattice), a tuple
     "BurstCluster",  # FailureExemplar.anchor, .errored_edges; cluster_cells
 )

@@ -198,14 +198,15 @@ def test_is_correctable():
 
 
 def test_exhaustive_burst_guarantee_small_q():
-    report = burst_exhaustive_report(TorusLattice(5))
+    report = burst_exhaustive_report(build_interleaver(TorusLattice(5)))
     assert report == (25 * 3 ** 5, 0, None)
     with pytest.raises(ValueError):
-        burst_exhaustive_report(TorusLattice(11))
+        burst_exhaustive_report(build_interleaver(TorusLattice(11)))
 
 
 def test_negative_control_every_doubled_cell_is_flagged():
-    assert double_slot_uncorrectable_exhaustive(TorusLattice(5))
+    assert double_slot_uncorrectable_exhaustive(
+        build_interleaver(TorusLattice(5)))
 
 
 def test_simulate_one_per_cell_never_fails():

@@ -114,7 +114,7 @@ def test_burst_kernel_agrees_with_the_public_api_enumeration():
     q = 5
     mapping = build_interleaver(TorusLattice(q))
     reference = _burst_by_is_correctable(q, mapping.shape, mapping)
-    assert burst_exhaustive_report(TorusLattice(q)) == \
+    assert burst_exhaustive_report(build_interleaver(TorusLattice(q))) == \
         burst_by_enumeration(*_interleaver_args(q)) == reference == \
         (6075, 0, None)
 
@@ -153,7 +153,7 @@ def test_burst_witness_reports_the_failing_case():
 
 def test_burst_counts_match_the_enumeration_oracle_at_q7():
     args = _interleaver_args(7)
-    assert burst_exhaustive_report(TorusLattice(7)) == \
+    assert burst_exhaustive_report(build_interleaver(TorusLattice(7))) == \
         burst_by_enumeration(*args) == (49 * 3 ** 7, 0, None)
 
 

@@ -49,6 +49,7 @@ def test_canonical_area_and_tiling_sweep():
         lat = TorusLattice(q)
         shape = canonical_polyomino(lat)
         assert shape.area == q
+        assert shape == Polyomino.from_cells(shape.cells)
         ok, witness = is_fundamental_region(lat, shape)
         assert ok and witness is None
 
