@@ -24,7 +24,7 @@ from collections import Counter
 from functools import cached_property
 from itertools import chain, combinations, repeat
 from math import prod
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from .lattice import SLOT_LEFT, SLOT_TOP, Cell, Edge, TorusLattice
 from .rng import M64, MODEL_ONE_PER_CELL, MODEL_UNIFORM_CLUSTER
@@ -37,14 +37,16 @@ class InterleaverMap(NamedTuple("InterleaverMap", [
     """Bijection between stream positions 0..2q**2-1 and torus edges, laid
     out by block_columns; without __slots__, so cached_property caches."""
 
-    def block_columns(self) -> Iterator[tuple[list[int], list[int]]]:
+    def block_columns(self, names: Sequence | None = None
+                      ) -> Iterator[tuple[list, list]]:
         """Each block's q cells in stream order, as an x and a y column.
 
         Block b holds c_b + k*(1, g) mod q for k = 0..q-1: x runs up range(q)
         from bx, y down it from by in steps of -g mod q = 3, both sliced off
-        one cycle.  Its positions take these top edges, then the left ones."""
+        one cycle.  Its positions take these top edges, then the left ones.
+        Given q names, a coordinate v comes as names[v] instead."""
         q, step = self.lattice.q, -self.lattice.g % self.lattice.q
-        cycle = list(range(q)) * (step + 1)
+        cycle = list(range(q) if names is None else names) * (step + 1)
         for bx, by in self.shape.cells:
             yield cycle[bx:bx + q], cycle[by + step * q:by:-step]
 
@@ -149,7 +151,12 @@ def burst_pattern_counts(
 def double_slot_uncorrectable_exhaustive(mapping: InterleaverMap) -> bool:
     """Negative control on a built map: erroring both slots of any one
     cluster cell must be reported uncorrectable, for every anchor and
-    every cell of the map's shape."""
+    every cell of the map's shape.
+
+    This holds for untyped errors only, where a block fails on more than
+    t = 1 errored edges.  Decoded as a CSS code, a cell with both edges
+    errored can still pass, for instance when one edge takes an X error
+    and the other a Z error."""
     lattice = mapping.lattice
     for anchor in lattice.cells():
         for cell in cluster_cells(lattice, mapping.shape, anchor):

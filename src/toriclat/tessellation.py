@@ -10,6 +10,8 @@ the tiling and the interleaver's block grid.
 
 from __future__ import annotations
 
+from itertools import chain, count, groupby, islice, repeat
+from operator import add, mul, sub
 from typing import Iterable, Iterator, NamedTuple
 
 from .codes import codewords
@@ -61,16 +63,44 @@ class Polyomino(NamedTuple("Polyomino", [("cells", tuple[Cell, ...])])):
 
 
 def _connected(cells: tuple[Cell, ...]) -> bool:
-    todo = {cells[0]}
-    seen: set[Cell] = set()
-    members = set(cells)
-    while todo:
-        x, y = todo.pop()
-        seen.add((x, y))
-        for nb in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
-            if nb in members and nb not in seen:
-                todo.add(nb)
-    return len(seen) == len(cells)
+    """Whether cells with x >= 0 form one edge-connected set, read off
+    their horizontal runs: each row's cells fall into maximal runs of
+    consecutive x, and runs in adjacent rows touch where their
+    x-intervals overlap.  The cells are connected exactly when joining
+    the touching runs leaves one piece.
+    """
+    xs = [x for x, _ in cells]
+    width = max(xs) + 2  # a gap, so that no run goes on into the next row
+    keys = sorted(map(add, map(mul, [y for _, y in cells], repeat(width)), xs))
+    runs = []  # (y, first x, last x) of each run, row-major
+    start = 0
+    # a key less its index is the same along a run and grows between runs
+    for offset, run in groupby(map(sub, keys, count())):
+        length = len(list(run))
+        y, x = divmod(offset + start, width)
+        runs.append((y, x, x + length - 1))
+        start += length
+    parent = list(range(len(runs)))
+
+    def root(r: int) -> int:
+        while parent[r] != r:
+            parent[r] = r = parent[parent[r]]
+        return r
+
+    pieces = len(runs)
+    above = 0  # the first run of the row above that can touch run i
+    for i, (y, first, last) in enumerate(runs):
+        while above < i and (runs[above][0] < y - 1 or (
+                runs[above][0] == y - 1 and runs[above][2] < first)):
+            above += 1
+        j = above
+        while j < i and runs[j][0] == y - 1 and runs[j][1] <= last:
+            a, b = root(i), root(j)
+            if a != b:
+                parent[a] = b
+                pieces -= 1
+            j += 1
+    return pieces == 1
 
 
 def canonical_polyomino(lattice: TorusLattice) -> Polyomino:
@@ -176,14 +206,32 @@ def tessellate(lattice: TorusLattice, shape: Polyomino) -> Tiling:
     """Tile the torus by the shape; every cell gets a unique anchor index.
 
     A cell in the coset of shape cell (px, py) is that cell moved by the
-    codeword k*(1, g) in column k = (x - px) mod q, its anchor index.
+    codeword k*(1, g) in column k = (x - px) mod q, its anchor index.  So
+    the tiling is invariant under the generator: the cell c + (1, g) lies
+    in the next translate, and with s = -g mod q (3, as g = q - 3) row y
+    is row y - s moved one column left, every anchor less one mod q.  The
+    first s rows are computed cell by cell, each later one from the row
+    s above it, and only the last s rows are held.
     """
     q = lattice.q
+    rows = coset_rows(lattice, shape)  # the shape's check, before the grid
+    step = -lattice.g % q
     px = [x for x, _ in shape.cells]
     ks = list(range(q))  # one shared int object per anchor
-    anchors = (ks[(x - px[b]) % q] for row in coset_rows(lattice, shape)
-               for x, b in enumerate(row))
-    return Tiling(lattice, shape, tuple(Grid(q, anchors)))
+    less_one = ks[-1:] + ks[:-1]  # less_one[k] = (k - 1) mod q
+
+    def anchor_rows() -> Iterator[list[int]]:
+        held = [[ks[(x - px[b]) % q] for x, b in enumerate(row)]
+                for row in islice(rows, step)]
+        yield from held
+        for y in range(step, q):
+            before = held[y % step]
+            held[y % step] = row = [*map(less_one.__getitem__, before[1:]),
+                                    less_one[before[0]]]
+            yield row
+
+    return Tiling(lattice, shape,
+                  tuple(Grid(q, chain.from_iterable(anchor_rows()))))
 
 
 _SYMBOLS = "0123456789abcdefghijklmnopqrstuvwxyz"
@@ -212,22 +260,24 @@ def svg_rows(tiling: Tiling, cell_size: int = 24) -> Iterator[str]:
     they are read: the header, the rects of each lattice row, one piece
     per anchor line and the closing tag.  Only the piece in hand is held.
 
-    A cell's rect is a per-column head, the row's y and a per-anchor
-    tail, each formatted once.
+    A row's rects are one join over a slot list of each cell's head, y
+    and tail: the per-column heads are filled once, and each row sets its
+    y and its per-anchor tails (each formatted once) by slice assignment.
     """
     q = tiling.lattice.q
     s = cell_size
     side = q * s
     yield (f'<svg xmlns="http://www.w3.org/2000/svg" width="{side}" '
            f'height="{side}" viewBox="0 0 {side} {side}">\n')
-    heads = [f'<rect x="{x * s}" y="' for x in range(q)]
     tails = [f'" width="{s}" height="{s}" fill="hsl({(360 * a) // q},65%,72%)"'
              ' stroke="black" stroke-width="1"/>\n' for a in range(q)]
+    rects = [""] * (3 * q)
+    rects[0::3] = [f'<rect x="{x * s}" y="' for x in range(q)]
     anchors = tiling.cell_to_anchor
     for y in range(q):
-        ys = str(y * s)
-        yield "".join([head + ys + tail for head, tail in zip(
-            heads, map(tails.__getitem__, anchors[y * q:(y + 1) * q]))])
+        rects[1::3] = [str(y * s)] * q
+        rects[2::3] = map(tails.__getitem__, anchors[y * q:(y + 1) * q])
+        yield "".join(rects)
     pad = s // 4
     for kx, ky in codewords(tiling.lattice):
         x0, y0 = kx * s + pad, ky * s + pad

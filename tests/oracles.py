@@ -6,7 +6,8 @@ trial kernel skips draws that cannot change a trial's outcome.  These
 functions get the same answers the direct way, by enumeration or by
 making every draw, so the tests can hold the fast paths to them.  The
 renderers' cell-by-cell loops are kept here too, as the reference for
-the row-at-a-time ones.  The hypothesis settings and shape strategy
+the row-at-a-time ones, and the walk over edge neighbours that the
+polyomino's run-based connectivity check replaced.  The hypothesis settings and shape strategy
 shared by the property tests live here as well.
 """
 
@@ -49,6 +50,22 @@ def odd_q_and_polyomino(draw, q_values=range(5, 34, 2), fundamental=False):
         cells.add((x, y))
         labels.add(coset_label(q, g, x, y))
     return q, Polyomino.from_cells(cells)
+
+
+def connected_by_walk(cells):
+    """Whether the cells form one edge-connected set, by a walk from the
+    first cell over edge neighbours."""
+    todo = {cells[0]}
+    seen = set()
+    members = set(cells)
+    while todo:
+        x, y = todo.pop()
+        seen.add((x, y))
+        for dx, dy in STEPS:
+            nb = (x + dx, y + dy)
+            if nb in members and nb not in seen:
+                todo.add(nb)
+    return len(seen) == len(cells)
 
 
 def fundamental_by_pairs_and_cover(lattice, cells):

@@ -14,10 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import toriclat
-from oracles import PROPERTY
+from oracles import PROPERTY, odd_q_and_polyomino
 from reference_data import GRID_MARKS, INTERLEAVED_ROWS
 from toriclat import kernels, params, tables
-from toriclat.cli import build_parser, main
+from toriclat.cli import _map_json, build_parser, main
 from toriclat.interleaving import build_interleaver
 from toriclat.lattice import TorusLattice
 
@@ -582,6 +582,16 @@ def test_interleave_prints_the_stream_map_as_indented_json(capsys, q):
     assert out == json.dumps(payload, indent=2) + "\n"
 
 
+@PROPERTY
+@given(odd_q_and_polyomino(fundamental=True))
+def test_map_json_matches_json_dumps_on_random_shapes(q_and_shape):
+    q, shape = q_and_shape
+    mapping = build_interleaver(TorusLattice(q), shape)
+    payload = {"q": q, "map": [[i, e.x, e.y, e.slot]
+                               for i, e in enumerate(mapping.stream_to_edge)]}
+    assert _map_json(mapping) == json.dumps(payload, indent=2) + "\n"
+
+
 def _benchmark_digest(command):
     digests = json.loads((Path(__file__).parents[1] / "perfbench"
                           / "digests.json").read_text(encoding="utf-8"))
@@ -592,6 +602,15 @@ def test_svg_golden_is_the_benchmark_digest():
     data = (GOLDEN / "tessellate_q7.svg").read_bytes()
     assert hashlib.sha256(data).hexdigest() == \
         _benchmark_digest("tessellate --q 7 --format svg")
+
+
+def test_svg_at_benchmark_size_is_the_benchmark_digest(tmp_path):
+    # three seed rows (3 divides 501) and multi-digit coordinates
+    target = tmp_path / "q501.svg"
+    assert main(["tessellate", "--q", "501", "--format", "svg",
+                 "--out", str(target)]) == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == \
+        _benchmark_digest("tessellate --q 501 --format svg")
 
 
 def test_interleave_at_benchmark_size_is_the_benchmark_digest(capsys):

@@ -5,14 +5,15 @@ from collections.abc import Iterator
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import (PROPERTY, ascii_by_cells, fundamental_by_pairs_and_cover,
-                     odd_q_and_polyomino, svg_by_cells, tiling_by_translates)
+from oracles import (PROPERTY, ascii_by_cells, connected_by_walk,
+                     fundamental_by_pairs_and_cover, odd_q_and_polyomino,
+                     svg_by_cells, tiling_by_translates)
 from toriclat.codes import codewords
 from toriclat.lattice import TorusLattice
-from toriclat.tessellation import (Grid, Polyomino, canonical_polyomino,
-                                   is_fundamental_region, lee_sphere,
-                                   render_ascii, render_svg, svg_rows,
-                                   tessellate)
+from toriclat.tessellation import (Grid, Polyomino, _connected,
+                                   canonical_polyomino, is_fundamental_region,
+                                   lee_sphere, render_ascii, render_svg,
+                                   svg_rows, tessellate)
 
 
 def test_from_cells_rejects_a_repeated_cell():
@@ -33,6 +34,45 @@ def test_polyomino_normalization_and_validation():
         Polyomino.from_cells([])
     with pytest.raises(ValueError):
         Polyomino(((1, 1), (1, 2)))  # not normalized
+
+
+@st.composite
+def _cell_set(draw):
+    # a set in a small box, dense enough that both outcomes occur, given
+    # in any order; x >= 0 as in a normalized polyomino, y of either sign
+    cells = draw(st.sets(st.tuples(st.integers(0, 5), st.integers(-2, 3)),
+                         min_size=1, max_size=24))
+    return tuple(draw(st.permutations(sorted(cells))))
+
+
+@PROPERTY
+@given(_cell_set())
+def test_run_connectivity_matches_the_walk_on_cell_sets(cells):
+    assert _connected(cells) == connected_by_walk(cells)
+
+
+@PROPERTY
+@given(odd_q_and_polyomino(), st.data())
+def test_run_connectivity_matches_the_walk_on_grown_shapes(q_and_shape,
+                                                           data):
+    # a grown shape is connected; less one cell it may fall apart
+    _, shape = q_and_shape
+    assert _connected(shape.cells) and connected_by_walk(shape.cells)
+    i = data.draw(st.integers(0, shape.area - 1))
+    cells = shape.cells[:i] + shape.cells[i + 1:]
+    assert _connected(cells) == connected_by_walk(cells)
+
+
+def test_run_connectivity_cases():
+    # runs that touch only at a corner, and a ring around a hole
+    assert not _connected(((0, 0), (1, 1)))
+    assert _connected(((0, 0), (1, 0), (2, 0), (0, 1), (2, 1),
+                       (0, 2), (1, 2), (2, 2)))
+    # a run that bridges two runs of the row above
+    assert _connected(((0, 0), (2, 0), (0, 1), (1, 1), (2, 1)))
+    assert not _connected(((0, 0), (2, 0), (0, 1), (2, 1)))
+    # rows with a gap between them
+    assert not _connected(((0, 0), (0, 2)))
 
 
 def test_canonical_shapes():
@@ -161,12 +201,21 @@ def test_tessellation_partitions_the_grid(q):
         set(shape.cells)
 
 
+def _assert_anchors_follow_the_generator(lat, anchors):
+    # the cell one codeword step on lies in the next translate
+    q, g = lat.q, lat.g
+    assert all(anchors[((y + g) % q) * q + (x + 1) % q]
+               == (anchors[y * q + x] + 1) % q
+               for y in range(q) for x in range(q))
+
+
 @pytest.mark.parametrize("q", [*range(5, 42, 2), 301])
 def test_anchor_grid_matches_the_translate_oracle_on_canonical_shapes(q):
     lat = TorusLattice(q)
     shape = canonical_polyomino(lat)
-    assert tessellate(lat, shape).cell_to_anchor == \
-        tiling_by_translates(lat, shape)
+    anchors = tessellate(lat, shape).cell_to_anchor
+    assert anchors == tiling_by_translates(lat, shape)
+    _assert_anchors_follow_the_generator(lat, anchors)
 
 
 def test_anchor_grid_matches_the_translate_oracle_on_the_lee_sphere():
@@ -181,8 +230,16 @@ def test_anchor_grid_matches_the_translate_oracle_on_random_shapes(
         q_and_shape):
     q, shape = q_and_shape
     lat = TorusLattice(q)
-    assert tessellate(lat, shape).cell_to_anchor == \
-        tiling_by_translates(lat, shape)
+    anchors = tessellate(lat, shape).cell_to_anchor
+    assert anchors == tiling_by_translates(lat, shape)
+    _assert_anchors_follow_the_generator(lat, anchors)
+
+
+def test_the_shape_is_checked_before_the_grid_is_allocated():
+    # the cell count is refused before tuple() asks for q * q slots,
+    # which would raise MemoryError
+    with pytest.raises(ValueError, match="shape has 5 cells"):
+        tessellate(TorusLattice(2 ** 30 + 1), lee_sphere())
 
 
 def test_full_rows_and_columns_are_transversals_of_a_perfect_code():
