@@ -6,7 +6,8 @@ violation, 2 usage error (an input too large for memory included), 3 I/O
 error.
 
 Each command imports the layers it runs when it runs, so that a process
-loads and compiles only those.
+loads and compiles only those.  verify runs the checks of the verify layer
+named in SCOPES, and a report line not starting with "ok" is a violation.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ STDOUT_SLICE = 1 << 16  # characters per write
 # spelled out so that building the parser imports no layer
 TABLE_IDS = ("T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8")
 MODELS = ("one-per-cell", "uniform-cluster")
+# the checks of the verify layer, in report order
+SCOPES = ("distance", "tiling", "interleaver")
 
 
 @contextlib.contextmanager
@@ -133,7 +136,10 @@ def _parse_q_range(text: str) -> list[int]:
         raise UsageError(f"non-integer q-range {text!r}") from exc
     if step <= 0:
         raise UsageError("q-range step must be positive")
-    return list(range(start, stop + 1, step))  # stop is inclusive
+    try:
+        return list(range(start, stop + 1, step))  # stop is inclusive
+    except OverflowError:  # more q than a list can index
+        raise UsageError(f"q-range {text!r} selects too many q") from None
 
 
 def _params_payload(params: CodeParams, precision: int) -> dict:
@@ -427,94 +433,15 @@ def cmd_tables(args) -> int:
     return EXIT_OK
 
 
-# ----------------------------------------------------------------- verify
-
-
-def _verify_distance(q_max: int, report) -> bool:
-    from .distance import distance_report, min_distance_closed_form
-    from .lattice import TorusLattice
-    ok = True
-    for q in range(5, q_max + 1, 2):
-        lattice = TorusLattice(q)
-        brute = distance_report(lattice)
-        closed = min_distance_closed_form(lattice)
-        if brute.distance != closed:
-            report(f"FAIL distance q={q}: brute {brute.distance} != closed {closed}")
-            ok = False
-            continue
-        if lattice.n >= 3:
-            cand = min(w for _, w in brute.candidate_weights)
-            if cand != brute.distance:
-                report(f"FAIL distance q={q}: move-vector minimum {cand} "
-                       f"!= distance {brute.distance}")
-                ok = False
-    if ok:
-        report(f"ok distance: brute force == closed form for odd q in [5, {q_max}]")
-    return ok
-
-
-def _verify_tiling(q_max: int, report) -> bool:
-    from . import tessellation
-    from .lattice import TorusLattice
-    ok = True
-    for q in range(5, q_max + 1, 2):
-        lattice = TorusLattice(q)
-        good, witness = tessellation.is_fundamental_region(
-            lattice, tessellation.canonical_polyomino(lattice))
-        if not good:
-            report(f"FAIL tiling q={q}: internal error: canonical shape for "
-                   f"q={q} is not a fundamental region (witness {witness})")
-            ok = False
-    if ok:
-        report(f"ok tiling: canonical shapes tile all odd q in [5, {q_max}]")
-    return ok
-
-
-def _verify_interleaver(q_max: int, report) -> bool:
-    from . import interleaving
-    from .lattice import TorusLattice
-    ok = True
-    small = []  # the q <= 9 maps, kept for the exhaustive sweeps
-    for q in range(5, q_max + 1, 2):
-        mapping = interleaving.build_interleaver(TorusLattice(q))
-        if len(set(mapping.stream_to_edge)) != 2 * q * q:
-            report(f"FAIL interleaver q={q}: stream map is not a bijection")
-            ok = False
-        if q <= 9:
-            small.append(mapping)
-    if ok:
-        report(f"ok interleaver: bijection on 2q^2 edges for odd q in [5, {q_max}]")
-    for mapping in small:
-        q = mapping.lattice.q
-        cases, failures, witness = interleaving.burst_exhaustive_report(mapping)
-        if failures:
-            report(f"FAIL burst q={q}: {failures} of {cases} patterns "
-                   f"uncorrectable, first witness {witness}")
-            ok = False
-        else:
-            report(f"ok burst q={q}: {cases} cluster patterns all correctable")
-    # cmd_verify keeps q_max >= 5, so small[0] is the q = 5 map
-    if interleaving.double_slot_uncorrectable_exhaustive(small[0]):
-        report("ok negative control q=5: doubled cells always flagged")
-    else:
-        report("FAIL negative control q=5: a doubled cell went unflagged")
-        ok = False
-    return ok
-
-
 def cmd_verify(args) -> int:
     if args.q_max < 5 or args.q_max % 2 == 0:
         raise UsageError(f"--q-max must be odd and >= 5, got {args.q_max}")
-    lines: list[str] = []
-    ok = True
-    if args.scope in ("distance", "all"):
-        ok &= _verify_distance(args.q_max, lines.append)
-    if args.scope in ("tiling", "all"):
-        ok &= _verify_tiling(args.q_max, lines.append)
-    if args.scope in ("interleaver", "all"):
-        ok &= _verify_interleaver(min(args.q_max, 41), lines.append)
+    from . import verify
+    lines = [line for scope in SCOPES if args.scope in (scope, "all")
+             for line in getattr(verify, scope)(args.q_max)]
     _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK if ok else EXIT_VIOLATION
+    return (EXIT_OK if all(line.startswith("ok") for line in lines)
+            else EXIT_VIOLATION)
 
 
 # ------------------------------------------------------------------ parser
@@ -597,9 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("verify", help="run the invariant sweeps")
-    p.add_argument("--scope",
-                   choices=("distance", "tiling", "interleaver", "all"),
-                   default="all")
+    p.add_argument("--scope", choices=SCOPES + ("all",), default="all")
     p.add_argument("--q-max", type=int, default=41)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)

@@ -49,7 +49,10 @@ class CodeParams(NamedTuple("CodeParams", [
 
     @property
     def gain_db(self) -> float:
-        return 10.0 * math.log10(self.gain)
+        if value := float(self.gain):
+            return 10.0 * math.log10(value)
+        # past n = 10^324 the gain underflows a float; log10 takes any int
+        return 10.0 * (math.log10(self.k * (self.t + 1)) - math.log10(self.n))
 
 
 def toric_code_params(lattice: TorusLattice) -> CodeParams:

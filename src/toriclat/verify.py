@@ -1,0 +1,70 @@
+"""The invariant sweeps of `toriclat verify`, one check per scope.  A check
+takes an odd q_max >= 5 and returns its report lines, a line not starting
+with "ok" being a violation.  It finds the functions it checks on their
+modules when it runs, so that a caller can replace them there."""
+
+
+def distance(q_max: int) -> list[str]:
+    """The brute-force distance against the closed form and move vectors."""
+    from .distance import distance_report, min_distance_closed_form
+    from .lattice import TorusLattice
+    lines = []
+    for q in range(5, q_max + 1, 2):
+        lattice = TorusLattice(q)
+        brute = distance_report(lattice)
+        closed = min_distance_closed_form(lattice)
+        if brute.distance != closed:
+            lines.append(f"FAIL distance q={q}: brute {brute.distance} "
+                         f"!= closed {closed}")
+        elif lattice.n >= 3:
+            cand = min(w for _, w in brute.candidate_weights)
+            if cand != brute.distance:
+                lines.append(f"FAIL distance q={q}: move-vector minimum "
+                             f"{cand} != distance {brute.distance}")
+    return lines or [
+        f"ok distance: brute force == closed form for odd q in [5, {q_max}]"]
+
+
+def tiling(q_max: int) -> list[str]:
+    """Each canonical shape is a fundamental region."""
+    from . import tessellation
+    from .lattice import TorusLattice
+    lines = []
+    for q in range(5, q_max + 1, 2):
+        lattice = TorusLattice(q)
+        good, witness = tessellation.is_fundamental_region(
+            lattice, tessellation.canonical_polyomino(lattice))
+        if not good:
+            lines.append(f"FAIL tiling q={q}: internal error: canonical shape "
+                         f"for q={q} is not a fundamental region "
+                         f"(witness {witness})")
+    return lines or [
+        f"ok tiling: canonical shapes tile all odd q in [5, {q_max}]"]
+
+
+def interleaver(q_max: int) -> list[str]:
+    """The stream map is a bijection up to q = 41; every burst pattern is
+    correctable for q <= 9, and every doubled cell is flagged at q = 5."""
+    from . import interleaving
+    from .lattice import TorusLattice
+    q_max = min(q_max, 41)
+    lines, small = [], []  # small: the q <= 9 maps, for the sweeps
+    for q in range(5, q_max + 1, 2):
+        mapping = interleaving.build_interleaver(TorusLattice(q))
+        if len(set(mapping.stream_to_edge)) != 2 * q * q:
+            lines.append(f"FAIL interleaver q={q}: stream map is not a "
+                         "bijection")
+        if q <= 9:
+            small.append(mapping)
+    lines = lines or ["ok interleaver: bijection on 2q^2 edges for odd q "
+                      f"in [5, {q_max}]"]
+    for mapping in small:
+        q = mapping.lattice.q
+        cases, failures, witness = interleaving.burst_exhaustive_report(mapping)
+        lines.append(f"FAIL burst q={q}: {failures} of {cases} patterns "
+                     f"uncorrectable, first witness {witness}" if failures else
+                     f"ok burst q={q}: {cases} cluster patterns all correctable")
+    return lines + [  # small[0] is the q = 5 map
+        "ok negative control q=5: doubled cells always flagged"
+        if interleaving.double_slot_uncorrectable_exhaustive(small[0]) else
+        "FAIL negative control q=5: a doubled cell went unflagged"]

@@ -3,6 +3,7 @@ import hashlib
 import importlib
 import io
 import json
+import math
 import os
 import resource
 import subprocess
@@ -275,6 +276,40 @@ def test_compare_negative_range_start_takes_the_equals_form(capsys):
     assert [row["q"] for row in json.loads(out)] == [5, 7]
 
 
+def test_a_q_range_too_long_to_list_is_a_usage_error(capsys):
+    # FLAG_VALUES holds the long range as a separate value
+    code = main(["compare", f"--q-range=-{HUGE}:9:1"])
+    assert code == 2
+    assert capsys.readouterr() == (
+        "", f"error: q-range '-{HUGE}:9:1' selects too many q\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["params", "--format", "text"], ["params", "--format", "json"],
+    ["params", "--format", "csv"], ["compare", "--format", "json"],
+    ["compare", "--format", "csv"],
+])
+def test_a_q_past_the_float_range_prints_a_finite_gain_db(capsys, argv):
+    q = 10 ** 400 + 1  # the kitaev and bmd gains underflow a float
+    span = ["--q", str(q)] if argv[0] == "params" else [
+        "--q-range", f"{q}:{q}:2"]
+    code, out = run(capsys, *argv, *span)
+    assert code == 0
+    if argv[-1] == "json":
+        payload = json.loads(out)
+        codes = payload["codes"] if argv[0] == "params" else [
+            payload[0][family] for family in ("interleaved", "kitaev", "bmd")]
+        gains_db = [row["gain_db"] for row in codes]
+    elif argv[-1] == "csv":
+        gains_db = [float(line.rsplit(",", 1)[1])
+                    for line in out.splitlines()[1:]]
+    else:
+        gains_db = [float(line.split()[-1]) for line in out.splitlines()[1:]]
+    assert len(gains_db) == (4 if argv[0] == "params" else 3)
+    assert all(math.isfinite(g) for g in gains_db)
+    assert min(gains_db) == pytest.approx(-4003.0103, abs=1e-4)
+
+
 def test_compare_bad_range_is_a_usage_error(capsys):
     code, _ = run(capsys, "compare", "--q-range", "5-17")
     assert code == 2
@@ -375,6 +410,116 @@ def test_verify_reports_a_broken_canonical_shape_as_a_violation(
         "FAIL tiling q=7: internal error: canonical shape for q=7 is not a "
         "fundamental region (witness ((0, 0), (1, 0)))\n")
     assert captured.err == ""
+
+
+# the ok lines of `verify --scope interleaver --q-max 9` after the first
+BURSTS_TO_9 = ("ok burst q=5: 6075 cluster patterns all correctable\n"
+               "ok burst q=7: 107163 cluster patterns all correctable\n"
+               "ok burst q=9: 1594323 cluster patterns all correctable\n")
+CONTROL_OK = "ok negative control q=5: doubled cells always flagged\n"
+
+
+def _verify_with(capsys, monkeypatch, module, name, broken, argv):
+    """Run verify with module.name replaced by broken(real); the exit
+    code, stdout and stderr."""
+    monkeypatch.setattr(module, name, broken(getattr(module, name)))
+    code = main(["verify", *argv])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_verify_reports_a_distance_that_differs_from_the_closed_form(
+        capsys, monkeypatch):
+    from toriclat import distance
+    assert _verify_with(
+        capsys, monkeypatch, distance, "min_distance_closed_form",
+        lambda real: lambda lattice: real(lattice) + (lattice.q == 7),
+        ["--scope", "distance", "--q-max", "9"]) == (
+        1, "FAIL distance q=7: brute 3 != closed 4\n", "")
+
+
+def test_verify_reports_a_move_vector_minimum_off_the_distance(
+        capsys, monkeypatch):
+    from toriclat import distance
+
+    def heavier_at_9(real):
+        def report(lattice):
+            found = real(lattice)
+            if lattice.q != 9:
+                return found
+            return found._replace(candidate_weights=tuple(
+                (v, w + 1) for v, w in found.candidate_weights))
+        return report
+
+    assert _verify_with(
+        capsys, monkeypatch, distance, "distance_report", heavier_at_9,
+        ["--scope", "distance", "--q-max", "11"]) == (
+        1, "FAIL distance q=9: move-vector minimum 4 != distance 3\n", "")
+
+
+def test_verify_reports_a_stream_map_that_is_not_a_bijection(
+        capsys, monkeypatch):
+    from types import SimpleNamespace
+    from toriclat import interleaving
+
+    def doubled_at_11(real):
+        def build(lattice):
+            mapping = real(lattice)
+            if lattice.q != 11:
+                return mapping
+            edges = mapping.stream_to_edge
+            return SimpleNamespace(lattice=lattice,
+                                   stream_to_edge=edges[:1] + edges[:-1])
+        return build
+
+    assert _verify_with(
+        capsys, monkeypatch, interleaving, "build_interleaver", doubled_at_11,
+        ["--scope", "interleaver", "--q-max", "11"]) == (
+        1, "FAIL interleaver q=11: stream map is not a bijection\n"
+           + BURSTS_TO_9 + CONTROL_OK, "")
+
+
+def test_verify_reports_an_uncorrectable_burst(capsys, monkeypatch):
+    from toriclat import interleaving
+
+    def fails_at_7(real):
+        def report(mapping):
+            cases, failures, witness = real(mapping)
+            if mapping.lattice.q == 7:
+                return cases, 3, (1, 2, 0)
+            return cases, failures, witness
+        return report
+
+    assert _verify_with(
+        capsys, monkeypatch, interleaving, "burst_exhaustive_report",
+        fails_at_7, ["--scope", "interleaver", "--q-max", "7"]) == (
+        1, "ok interleaver: bijection on 2q^2 edges for odd q in [5, 7]\n"
+           "ok burst q=5: 6075 cluster patterns all correctable\n"
+           "FAIL burst q=7: 3 of 107163 patterns uncorrectable, first "
+           "witness (1, 2, 0)\n" + CONTROL_OK, "")
+
+
+def test_verify_reports_a_failed_negative_control(capsys, monkeypatch):
+    from toriclat import interleaving
+    assert _verify_with(
+        capsys, monkeypatch, interleaving,
+        "double_slot_uncorrectable_exhaustive", lambda real: lambda m: False,
+        ["--scope", "interleaver", "--q-max", "5"]) == (
+        1, "ok interleaver: bijection on 2q^2 edges for odd q in [5, 5]\n"
+           "ok burst q=5: 6075 cluster patterns all correctable\n"
+           "FAIL negative control q=5: a doubled cell went unflagged\n", "")
+
+
+def test_verify_all_keeps_every_scope_past_a_failing_one(capsys, monkeypatch):
+    from toriclat import distance
+    assert _verify_with(
+        capsys, monkeypatch, distance, "min_distance_closed_form",
+        lambda real: lambda lattice: real(lattice) + (lattice.q == 7),
+        ["--scope", "all", "--q-max", "9"]) == (
+        1, "FAIL distance q=7: brute 3 != closed 4\n"
+           "ok tiling: canonical shapes tile all odd q in [5, 9]\n"
+           "ok interleaver: bijection on 2q^2 edges for odd q in [5, 9]\n"
+           + BURSTS_TO_9 + CONTROL_OK, "")
 
 
 @pytest.mark.parametrize("argv,builds,checks", [
@@ -622,6 +767,15 @@ def test_interleave_at_benchmark_size_is_the_benchmark_digest(capsys):
         _benchmark_digest("interleave --q 301")
 
 
+@pytest.mark.parametrize("scope", ["distance", "tiling", "interleaver"])
+def test_verify_at_benchmark_size_is_the_benchmark_digest(capsys, scope):
+    command = f"verify --scope {scope} --q-max 201"
+    code, out = run(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        _benchmark_digest(command)
+
+
 @pytest.mark.parametrize("name,argv", [
     ("t1.txt", ["tables", "T1"]),
     ("t8.txt", ["tables", "T8"]),
@@ -678,6 +832,16 @@ def test_commands_that_run_no_trials_do_not_load_the_kernel(argv):
     # interleaving imports the kernel inside simulate, and the model names
     # live in rng
     assert not _imported_modules(argv) & {"toriclat.kernels", "array"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["codewords", "--q", "5"], ["gens", "--q", "7"],
+    ["interleave", "--q", "5"], ["simulate", "--q", "5", "--trials", "5"],
+    ["verify", "--scope", "distance", "--q-max", "5"],
+])
+def test_only_verify_loads_the_verify_layer(argv):
+    assert ("toriclat.verify" in _imported_modules(argv)) == (
+        argv[0] == "verify")
 
 
 def test_simulate_loads_the_kernel():
@@ -791,6 +955,12 @@ def test_parser_choices_are_the_layers_constants():
     assert _choices("simulate", "model") == (
         (kernels.MODEL_ONE_PER_CELL, kernels.MODEL_UNIFORM_CLUSTER),
         kernels.MODEL_ONE_PER_CELL)
+    # verify runs the function of its layer named by each scope
+    from toriclat import verify
+    assert _choices("verify", "scope") == (
+        ("distance", "tiling", "interleaver", "all"), "all")
+    assert all(callable(getattr(verify, scope))
+               for scope in _choices("verify", "scope")[0][:-1])
 
 
 
@@ -806,8 +976,8 @@ FLAG_VALUES = {
     "--seed": ("7", "-1", str(2 ** 64 - 1), str(2 ** 64), "x"),
     "--workers": ("2", "0", "-2", HUGE, "x"),
     "--precision": ("0", "100", "101", "-1", HUGE, "x"),
-    "--q-range": ("5:9:2", "9:5:2", "5:9:0", f"5:9:{HUGE}", "5:9", "a:b:c",
-                  ""),
+    "--q-range": ("5:9:2", "9:5:2", "5:9:0", f"5:9:{HUGE}", f"5:{HUGE}:2",
+                  "5:9", "a:b:c", ""),
     "--model": ("uniform-cluster", "x"),
     "--method": ("brute", "closed", "x"),
     "--scope": ("tiling", "interleaver", "x"),
