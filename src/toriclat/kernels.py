@@ -19,14 +19,17 @@ block at once and a product of two 64-bit values never reaches the next
 slot.  Draw d of the block's trials is one such row, computed the first
 time a trial needs it and unpacked into an array('Q').
 
-The lanes leave out draws that cannot change an outcome.  Block counts
-only rise, so a uniform-cluster trial fails at its first overflow.
-Under one-per-cell a block receives at most m_b errors, m_b being the
-cluster cells in block b, so a trial whose anchor has every m_b <= t
-ends after its anchor draws.  Every other trial goes to trial_errors:
-a one-per-cell trial at an anchor with some m_b > t (never, on the
-interleaver's own grid with t >= 1), and a trial that reads a packed
-draw below(n) would reject (probability below n / 2^64 per draw).
+The lanes leave out draws that cannot change an outcome.  At an anchor
+whose cluster puts its cells in distinct blocks (the verdict is kept per
+anchor), a block errs as often as its one cell: at most once under
+one-per-cell and at most twice under uniform-cluster, so where that
+bound is <= t the trial ends after its anchor draws.  Under
+uniform-cluster with t = 1 the trial fails exactly when it draws both
+edges of one cell, so its Fisher-Yates deck holds cell bits and it stops
+at the first bit already seen.  Every other trial goes to trial_errors:
+one at t = 0, one at an anchor whose cluster meets a block twice (never,
+on the interleaver's own grid), and one that reads a packed draw
+below(n) would reject (probability below n / 2^64 per draw).
 tests/oracles.simulate_by_streams makes every draw through rng.stream
 and is held equal to this kernel.
 """
@@ -55,7 +58,8 @@ _C2 = 0x94D049BB133111EB
 # the array('Q') index of each slot's low 64 bits, in native byte order
 _LOW = 0 if sys.byteorder == "little" else 1
 
-_UNKNOWN, _SAFE, _UNSAFE = 0, 1, 2
+# an anchor's verdict: do its cluster's cells lie in distinct blocks?
+_UNKNOWN, _DISTINCT, _SHARED = 0, 1, 2
 
 
 def _pack(values: array) -> int:
@@ -152,60 +156,54 @@ def simulate_trials(
     # below(n) rejects raw outputs under 2^64 % n
     q_floor = (1 << 64) % q
     seed &= M64
-    one_per_cell = model == MODEL_ONE_PER_CELL
-    verdicts = bytearray(q * q)  # per one-per-cell anchor, lazily
-    # the Fisher-Yates deck holds each edge's cell, edge e lying in cell
-    # e >> 1
-    deck = [e >> 1 for e in range(nedges)]
-    # Fisher-Yates step i draws from range(n), n = nedges - i
-    steps = [(i, nedges - i, (1 << 64) % (nedges - i))
+    # at a distinct anchor a block errs as often as its one cell: at most
+    # once (one-per-cell) or twice (uniform-cluster); with t = 1 a
+    # uniform-cluster trial fails at its first cell drawn twice
+    settled = (1 if model == MODEL_ONE_PER_CELL else 2) <= t
+    dealt = not settled and model == MODEL_UNIFORM_CLUSTER and t == 1
+    verdicts = bytearray(q * q)  # per anchor, lazily
+    # the Fisher-Yates deck holds each edge's cell bit, edge e lying in
+    # cell e >> 1; step i takes draw i + 2 from range(n), n = nedges - i
+    bits = [1 << (e >> 1) for e in range(nedges)]
+    steps = [(i, i + 2, nedges - i, (1 << 64) % (nedges - i))
              for i in range(ncells)]
     correctable = 0
     failing: list[int] = []
     for first in range(start, start + count, LANES):
         lanes = min(LANES, start + count - first)
         draws = _Draws(seed, first, lanes)
-        xs = draws[0]
-        ys = draws[1]
-        for k in range(lanes):
-            zx = xs[k]
-            zy = ys[k]
-            # ok is None for a trial that leaves the packed lanes
-            if zx < q_floor or zy < q_floor:
-                ok = None
-            elif one_per_cell:
-                ax = zx % q
-                ay = zy % q
-                anchor = ay * q + ax
+        # each trial's anchor ay * q + ax, -1 where below(q) rejects a draw
+        anchors = [-1 if zx < q_floor or zy < q_floor else zy % q * q + zx % q
+                   for zx, zy in zip(draws[0], draws[1])]
+        for k, anchor in enumerate(anchors):
+            ok = None  # for a trial that leaves the packed lanes
+            if anchor >= 0:
                 verdict = verdicts[anchor]
                 if verdict == _UNKNOWN:
-                    cells_in_block = [0] * q
-                    for px, py in zip(pxs, pys):
-                        cells_in_block[block_grid[rows[ay + py]
-                                                  + cols[ax + px]]] += 1
-                    verdict = _SAFE if max(cells_in_block) <= t else _UNSAFE
-                    verdicts[anchor] = verdict
-                ok = True if verdict == _SAFE else None
-            else:
-                ax = zx % q
-                ay = zy % q
-                counts = [0] * q
-                perm = deck[:]
-                ok = True
-                for i, n, n_floor in steps:
-                    z = draws[i + 2][k]
-                    if z < n_floor:
-                        ok = None
-                        break
-                    j = i + z % n
-                    # half a swap: slot i is never read again
-                    c = perm[j]
-                    perm[j] = perm[i]
-                    b = block_grid[rows[ay + pys[c]] + cols[ax + pxs[c]]]
-                    counts[b] += 1
-                    if counts[b] > t:
-                        ok = False
-                        break
+                    ay, ax = divmod(anchor, q)
+                    blocks = {block_grid[rows[ay + py] + cols[ax + px]]
+                              for px, py in zip(pxs, pys)}
+                    verdict = verdicts[anchor] = (
+                        _DISTINCT if len(blocks) == ncells else _SHARED)
+                if verdict == _DISTINCT and settled:
+                    ok = True
+                elif verdict == _DISTINCT and dealt:
+                    perm = bits[:]
+                    seen = 0
+                    ok = True
+                    for i, d, n, n_floor in steps:
+                        z = draws[d][k]
+                        if z < n_floor:
+                            ok = None
+                            break
+                        j = i + z % n
+                        # half a swap: slot i is never read again
+                        bit = perm[j]
+                        perm[j] = perm[i]
+                        if seen & bit:
+                            ok = False
+                            break
+                        seen |= bit
             if ok is None:
                 ax, ay, hits = trial_errors(q, cells, seed, first + k, model)
                 counts = [0] * q

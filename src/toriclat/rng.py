@@ -5,9 +5,11 @@ nothing but (seed, i).  All trials run in one pass of one kernel call,
 and a trial may stop drawing once its outcome is known without changing
 any other trial, so the results are fixed by the seed alone.  The trial
 kernel (kernels.simulate_trials) computes a block of trials' outputs at
-once, with mix64's steps on packed 64-bit lanes; a trial it cannot
-settle there, and each exemplar simulate reports, is drawn through
-stream() by kernels.trial_errors, the one place the package calls it.
+once, with mix64's steps on packed 64-bit lanes, and settles there every
+trial whose anchored cluster puts its cells in distinct blocks; any
+other trial, one that reads a draw below() would reject, and each
+exemplar simulate reports, is drawn through stream() by
+kernels.trial_errors, the one place the package calls it.
 tests/oracles.simulate_by_streams draws through stream() alone and holds
 the kernel to it value for value.
 

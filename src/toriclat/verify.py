@@ -44,13 +44,19 @@ def tiling(q_max: int) -> list[str]:
 
 def interleaver(q_max: int) -> list[str]:
     """The stream map is a bijection up to q = 41; every burst pattern is
-    correctable for q <= 9, and every doubled cell is flagged at q = 5."""
+    correctable for q <= 9, and every doubled cell is flagged at q = 5.
+    A q whose map cannot be built is a violation, and its sweeps are
+    skipped."""
     from . import interleaving
     from .lattice import TorusLattice
     q_max = min(q_max, 41)
-    lines, small = [], []  # small: the q <= 9 maps, for the sweeps
+    lines, small = [], []  # small: the q <= 9 maps built, for the sweeps
     for q in range(5, q_max + 1, 2):
-        mapping = interleaving.build_interleaver(TorusLattice(q))
+        try:
+            mapping = interleaving.build_interleaver(TorusLattice(q))
+        except ValueError as error:
+            lines.append(f"FAIL interleaver q={q}: {error}")
+            continue
         if len(set(mapping.stream_to_edge)) != 2 * q * q:
             lines.append(f"FAIL interleaver q={q}: stream map is not a "
                          "bijection")
@@ -64,7 +70,10 @@ def interleaver(q_max: int) -> list[str]:
         lines.append(f"FAIL burst q={q}: {failures} of {cases} patterns "
                      f"uncorrectable, first witness {witness}" if failures else
                      f"ok burst q={q}: {cases} cluster patterns all correctable")
-    return lines + [  # small[0] is the q = 5 map
+    if not small or small[0].lattice.q != 5:
+        return lines + ["FAIL negative control q=5: the q=5 map could not "
+                        "be built"]
+    return lines + [
         "ok negative control q=5: doubled cells always flagged"
         if interleaving.double_slot_uncorrectable_exhaustive(small[0]) else
         "FAIL negative control q=5: a doubled cell went unflagged"]

@@ -522,6 +522,47 @@ def test_verify_all_keeps_every_scope_past_a_failing_one(capsys, monkeypatch):
            + BURSTS_TO_9 + CONTROL_OK, "")
 
 
+def _not_a_region_at(bad_q):
+    """is_fundamental_region, failing the shapes of the q in bad_q."""
+    def broken(real):
+        def check(lattice, shape):
+            if lattice.q in bad_q:
+                return False, shape.cells[:2]
+            return real(lattice, shape)
+        return check
+    return broken
+
+
+def test_verify_reports_a_map_that_cannot_be_built_and_keeps_going(
+        capsys, monkeypatch):
+    # build_interleaver raises ValueError in coset_rows at q = 7; the
+    # lines already collected and the other q's sweeps still print
+    from toriclat import tessellation
+    assert _verify_with(
+        capsys, monkeypatch, tessellation, "is_fundamental_region",
+        _not_a_region_at({7}), ["--scope", "all", "--q-max", "9"]) == (
+        1, "ok distance: brute force == closed form for odd q in [5, 9]\n"
+           "FAIL tiling q=7: internal error: canonical shape for q=7 is not "
+           "a fundamental region (witness ((0, 0), (1, 0)))\n"
+           "FAIL interleaver q=7: shape is not a fundamental region: cells "
+           "(0, 0) and (1, 0) lie in the same coset\n"
+           "ok burst q=5: 6075 cluster patterns all correctable\n"
+           "ok burst q=9: 1594323 cluster patterns all correctable\n"
+           + CONTROL_OK, "")
+
+
+def test_verify_fails_the_negative_control_without_a_q5_map(
+        capsys, monkeypatch):
+    from toriclat import tessellation
+    assert _verify_with(
+        capsys, monkeypatch, tessellation, "is_fundamental_region",
+        _not_a_region_at({5}), ["--scope", "interleaver", "--q-max", "7"]) == (
+        1, "FAIL interleaver q=5: shape is not a fundamental region: cells "
+           "(0, 0) and (1, 0) lie in the same coset\n"
+           "ok burst q=7: 107163 cluster patterns all correctable\n"
+           "FAIL negative control q=5: the q=5 map could not be built\n", "")
+
+
 @pytest.mark.parametrize("argv,builds,checks", [
     (["interleave", "--q", "7"], 1, 1),
     (["tessellate", "--q", "7"], 0, 1),

@@ -249,6 +249,10 @@ def test_packed_draws_are_the_streams_draws_lane_for_lane(start):
     # through kernels.trial_errors
     pytest.param(kernels.MODEL_ONE_PER_CELL, 0, id="one-per-cell-t0"),
     pytest.param(kernels.MODEL_UNIFORM_CLUSTER, 0, id="uniform-cluster-t0"),
+    # at t = 2 a trial at a distinct anchor passes without drawing its
+    # cells, and one at the corrupted anchors goes through trial_errors
+    pytest.param(kernels.MODEL_ONE_PER_CELL, 2, id="one-per-cell-t2"),
+    pytest.param(kernels.MODEL_UNIFORM_CLUSTER, 2, id="uniform-cluster-t2"),
 ])
 @pytest.mark.parametrize("start,count", [
     (0, 0),
@@ -361,3 +365,25 @@ def test_one_per_cell_never_fails_on_the_canonical_grid(q):
     assert kernels.simulate_trials(
         q, cells, grid, 5, 0, 3000, kernels.MODEL_ONE_PER_CELL) == \
         (3000, 0, [])
+
+
+@pytest.mark.parametrize("model", [kernels.MODEL_ONE_PER_CELL,
+                                   kernels.MODEL_UNIFORM_CLUSTER])
+@pytest.mark.parametrize("q", [5, 13, 41])
+def test_the_interleavers_own_grid_never_leaves_the_lanes(monkeypatch, q,
+                                                          model):
+    # every anchor of the canonical grid puts its cells in distinct
+    # blocks, so at t = 1 no trial needs kernels.trial_errors; a verdict
+    # that sent them there would keep every result and run ~5x slower
+    q, cells, grid = _interleaver_args(q)
+    calls = []
+    real = kernels.trial_errors
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "trial_errors", counting)
+    result = kernels.simulate_trials(q, cells, grid, 8, 0, 3000, model)
+    assert sum(result[:2]) == 3000
+    assert calls == []
