@@ -13,10 +13,6 @@ from typing import NamedTuple
 from .codes import codewords
 from .lattice import TorusLattice, Vector
 
-#: Generates the code for every n >= 2: det((1,-3),(1,g)) = g + 3 = q.
-VERTICAL_MOVE: Vector = (1, -3)
-
-
 def mannheim_weight(vec: Vector) -> int:
     """|dx| + |dy| of the vector exactly as given, no reduction."""
     return abs(vec[0]) + abs(vec[1])
@@ -27,8 +23,8 @@ class DistanceReport(NamedTuple):
 
     achieving_vector is the first minimal-weight nonzero codeword in the
     k*(1, g) enumeration, in symmetric-residue form.  candidate_weights
-    holds the vertical move vector (1, -3) and, for n >= 3, the
-    horizontal move vector (q'+1, r).
+    holds the vertical move vector (1, -s) and, for n >= 3, the
+    horizontal move vector (q'+1, r), s being the lattice's step.
     """
 
     q: int
@@ -38,23 +34,24 @@ class DistanceReport(NamedTuple):
 
 
 def move_vectors(lattice: TorusLattice) -> tuple[Vector, Vector]:
-    """The (vertical, horizontal) move vectors (1, -3) and (q'+1, r).
+    """The (vertical, horizontal) move vectors (1, -s) and (q'+1, r).
 
-    q' and r split the slope as g = 3*q' + r with 0 <= r <= 2.  Requires
-    n >= 3; at n = 2 there is no horizontal move vector.
+    s is the lattice's step, -g mod q; the vertical move generates the
+    code for every n >= 2, as det((1, -s), (1, g)) = g + s = q.  q' and r
+    split the slope as g = s*q' + r with 0 <= r < s.  Requires n >= 3; at
+    n = 2 there is no horizontal move vector.
     """
     if lattice.n < 3:
         raise ValueError(f"horizontal move vector needs n >= 3, got n={lattice.n}")
-    q_prime, r = divmod(lattice.g, 3)
-    return VERTICAL_MOVE, (q_prime + 1, r)
+    return tuple(vec for vec, _ in _candidates(lattice))
 
 
 def _candidates(lattice: TorusLattice) -> tuple[tuple[Vector, int], ...]:
-    cands = [(VERTICAL_MOVE, mannheim_weight(VERTICAL_MOVE))]
-    if lattice.n >= 3:
-        _, horizontal = move_vectors(lattice)
-        cands.append((horizontal, mannheim_weight(horizontal)))
-    return tuple(cands)
+    """Each move vector with its weight: the horizontal one for n >= 3."""
+    step = lattice.step
+    q_prime, r = divmod(lattice.g, step)
+    moves = ((1, -step), (q_prime + 1, r)) if lattice.n >= 3 else ((1, -step),)
+    return tuple((vec, mannheim_weight(vec)) for vec in moves)
 
 
 def min_distance_closed_form(lattice: TorusLattice) -> int:

@@ -27,7 +27,7 @@ from math import prod
 from typing import Iterator, NamedTuple, Sequence
 
 from .lattice import SLOT_LEFT, SLOT_TOP, Cell, Edge, TorusLattice
-from .rng import M64, MODEL_ONE_PER_CELL, MODEL_UNIFORM_CLUSTER
+from .rng import MODEL_ONE_PER_CELL
 from .tessellation import Grid, Polyomino, canonical_polyomino, coset_rows
 
 
@@ -42,10 +42,10 @@ class InterleaverMap(NamedTuple("InterleaverMap", [
         """Each block's q cells in stream order, as an x and a y column.
 
         Block b holds c_b + k*(1, g) mod q for k = 0..q-1: x runs up range(q)
-        from bx, y down it from by in steps of -g mod q = 3, both sliced off
+        from bx, y down it from by in steps of lattice.step, both sliced off
         one cycle.  Its positions take these top edges, then the left ones.
         Given q names, a coordinate v comes as names[v] instead."""
-        q, step = self.lattice.q, -self.lattice.g % self.lattice.q
+        q, step = self.lattice.q, self.lattice.step
         cycle = list(range(q) if names is None else names) * (step + 1)
         for bx, by in self.shape.cells:
             yield cycle[bx:bx + q], cycle[by + step * q:by:-step]
@@ -211,7 +211,7 @@ def simulate(lattice: TorusLattice, trials: int, seed: int,
     # called through the module so that a tracer patching
     # toriclat.kernels.simulate_trials sees the call
     correctable, failures, failing = kernels.simulate_trials(
-        lattice.q, mapping.shape.cells, mapping.block_grid, seed & M64, 0,
+        lattice.q, mapping.shape.cells, mapping.block_grid, seed, 0,
         trials, model, 1, 5)
     exemplars = []
     for i in failing:

@@ -41,8 +41,8 @@ from array import array
 from typing import Sequence
 
 from .lattice import SLOT_LEFT, SLOT_TOP
-from .rng import (GOLDEN, M64, MODEL_ONE_PER_CELL, MODEL_UNIFORM_CLUSTER,
-                  stream)
+from .rng import (GOLDEN, M64, MIX_C1, MIX_C2, MODEL_ONE_PER_CELL,
+                  MODEL_UNIFORM_CLUSTER, stream)
 
 # the only backend; benchmark results record it so that only runs of one
 # backend are compared
@@ -50,10 +50,6 @@ BACKEND = "python"
 
 # trials per block, each a 128-bit slot of the packed ints
 LANES = 1024
-
-# the splitmix64 finalizer's multipliers, as in rng.mix64
-_C1 = 0xBF58476D1CE4E5B9
-_C2 = 0x94D049BB133111EB
 
 # the array('Q') index of each slot's low 64 bits, in native byte order
 _LOW = 0 if sys.byteorder == "little" else 1
@@ -78,8 +74,8 @@ def _unpack(packed: int, lanes: int) -> array:
 
 def _mix(z: int, mask: int) -> int:
     """rng.mix64 on every slot of a packed int whose slots are < 2^64."""
-    z = ((z ^ (z >> 30)) & mask) * _C1 & mask
-    z = ((z ^ (z >> 27)) & mask) * _C2 & mask
+    z = ((z ^ (z >> 30)) & mask) * MIX_C1 & mask
+    z = ((z ^ (z >> 27)) & mask) * MIX_C2 & mask
     return (z ^ (z >> 31)) & mask
 
 

@@ -9,7 +9,7 @@ exactly 2*q**2 edges.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 Cell = tuple[int, int]
 Vector = tuple[int, int]
@@ -30,18 +30,9 @@ def symmetric_residue(v: int, q: int) -> int:
     return (v + half) % q - half
 
 
-def coset_label(q: int, g: int, x: int, y: int) -> int:
-    """Which coset of the code <(1, g)> holds the cell (x, y).
-
-    (x, y) - (x', y') is a multiple of (1, g) mod q exactly when
-    y - g*x = y' - g*x' mod q, so two cells share a coset exactly when
-    their labels are equal, and the q labels name the q cosets.
-    """
-    return (y - g * x) % q
-
-
 class TorusLattice(NamedTuple("TorusLattice", [("q", int)])):
-    """The q x q cell grid with torus wraparound, q = 2n+1 and n >= 2."""
+    """The q x q cell grid with torus wraparound, q = 2n+1 and n >= 2, and
+    the code <(1, g)> on it, which every layer reads off labels and step."""
 
     __slots__ = ()
 
@@ -56,12 +47,24 @@ class TorusLattice(NamedTuple("TorusLattice", [("q", int)])):
 
     @property
     def g(self) -> int:
-        # the generator slope 2*(n-1), equivalently q - 3
+        # the generator slope 2*(n-1), equivalently q - 3, so step is 3
         return self.q - 3
 
     @property
     def generator(self) -> Vector:
         return (1, self.g)
+
+    @property
+    def step(self) -> int:
+        """-g mod q, the amount a cell's label grows per column rightward."""
+        return -self.g % self.q
+
+    def labels(self, cells: Iterable[Cell]) -> list[int]:
+        """Each cell's coset label L(x, y) = (y - g*x) mod q: two cells
+        differ by a multiple of (1, g) mod q exactly when their labels are
+        equal, so the q labels name the q cosets of the code."""
+        q, g = self.q, self.g
+        return [(y - g * x) % q for x, y in cells]
 
     def cells(self) -> Iterator[Cell]:
         """All q**2 cells in row-major order."""

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
 from typing import NamedTuple
 
 from .distance import min_distance_closed_form
@@ -82,19 +81,21 @@ def bmd_params(r: int) -> CodeParams:
     return CodeParams(FAMILY_BMD, 2 * m, 2, 2 * r + 1, r)
 
 
-class ComparisonRow(NamedTuple("ComparisonRow", [
-        ("q", int), ("interleaved", CodeParams), ("kitaev", CodeParams),
-        ("bmd", CodeParams)])):
-    """Interleaved code versus the two baselines at the same q (bmd at r=q);
-    with no __slots__, an instance has the __dict__ cached_property fills."""
+class ComparisonRow(NamedTuple):
+    """Interleaved code versus the two baselines at the same q (bmd at r=q)."""
 
-    @cached_property
+    q: int
+    interleaved: CodeParams
+    kitaev: CodeParams
+    bmd: CodeParams
+
+    @property
     def dominates(self) -> bool:
-        """Whether the interleaved code beats both baselines on rate and
-        on gain, strictly; cached, as compare's text output reads it once
-        per line and each comparison builds Fractions."""
+        """Whether the interleaved code beats both baselines strictly on rate
+        k/n and gain k(t+1)/n, by integer cross-multiplication (n > 0)."""
         i = self.interleaved
-        return all(i.rate > b.rate and i.gain > b.gain
+        return all(i.k * b.n > b.k * i.n
+                   and i.k * (i.t + 1) * b.n > b.k * (b.t + 1) * i.n
                    for b in (self.kitaev, self.bmd))
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 M64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
+MIX_C1, MIX_C2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB  # mix64's multipliers
 
 MODEL_ONE_PER_CELL = "one-per-cell"
 MODEL_UNIFORM_CLUSTER = "uniform-cluster"
@@ -29,8 +30,8 @@ MODEL_UNIFORM_CLUSTER = "uniform-cluster"
 def mix64(z: int) -> int:
     """The splitmix64 finalizer, a 64-bit bijection."""
     z &= M64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & M64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & M64
+    z = ((z ^ (z >> 30)) * MIX_C1) & M64
+    z = ((z ^ (z >> 27)) * MIX_C2) & M64
     return z ^ (z >> 31)
 
 

@@ -2,10 +2,10 @@
 
 A polyomino with q cells tiles the torus under translation by the q
 codewords exactly when its cells lie in pairwise distinct cosets of the
-code, i.e. when their q coset labels are distinct; the lattice's q and
-g fix the labels, so the lattice names the code.  Every torus cell then
-lies in the coset of one shape cell (`coset_rows`), which gives both
-the tiling and the interleaver's block grid.
+code, i.e. when their q coset labels are distinct; the lattice gives
+the labels and their step, so the lattice names the code.  Every torus
+cell then lies in the coset of one shape cell (`coset_rows`), which
+gives both the tiling and the interleaver's block grid.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from operator import add, mul, sub
 from typing import Iterable, Iterator, NamedTuple
 
 from .codes import codewords
-from .lattice import Cell, TorusLattice, coset_label
+from .lattice import Cell, TorusLattice
 
 
 class Polyomino(NamedTuple("Polyomino", [("cells", tuple[Cell, ...])])):
@@ -107,18 +107,19 @@ def canonical_polyomino(lattice: TorusLattice) -> Polyomino:
     """The q-cell tiling shape for the code on the given lattice, built
     normalized and row-major, so block b of the interleaver is cell b.
 
-    For n >= 3 it is a (q'+1)-wide, 3-tall block plus a one-wide strip of
-    height r in column q'+1, where g = 3*q' + r.  For q = 5 it is the 2x2
-    square plus a single cell; the extra cell attaches at (2, 1), since
-    placing it at (2, 0) would put two cells a codeword apart
-    ((2,0) - (0,1) = (2,-1), which marks a region anchor).  It is not
-    checked here: `coset_rows` checks every shape on its way into a
+    For n >= 3 it is a (q'+1)-wide block, the lattice's step s tall, plus
+    a one-wide strip of height r in column q'+1, where g = s*q' + r; its
+    labels j + s*i run through 0..q-1 once for any 0 < g < q.  For q = 5
+    it is the 2x2 square plus a single cell; the extra cell attaches at
+    (2, 1), since placing it at (2, 0) would put two cells a codeword
+    apart ((2,0) - (0,1) = (2,-1), which marks a region anchor).  It is
+    not checked here: `coset_rows` checks every shape on its way into a
     tiling or an interleaver, and `verify --scope tiling` checks these.
     """
     if lattice.q == 5:
         return Polyomino(((0, 0), (1, 0), (0, 1), (1, 1), (2, 1)))
-    q_prime, r = divmod(lattice.g, 3)
-    return Polyomino(tuple((i, j) for j in range(3)
+    q_prime, r = divmod(lattice.g, lattice.step)
+    return Polyomino(tuple((i, j) for j in range(lattice.step)
                            for i in range(q_prime + 1 + (j < r))))
 
 
@@ -142,7 +143,7 @@ def is_fundamental_region(
     q = lattice.q
     if len(cells) != q:
         raise ValueError(f"shape has {len(cells)} cells, expected q={q}")
-    labels = [coset_label(q, lattice.g, x, y) for x, y in cells]
+    labels = lattice.labels(cells)
     first: dict[int, int] = {}
     for j, label in enumerate(labels):
         first.setdefault(label, j)
@@ -169,21 +170,19 @@ def coset_rows(lattice: TorusLattice, shape: Polyomino) -> Iterator[list[int]]:
 
     This is the check every shape gets on its way into a tiling or an
     interleaver: one that is not a fundamental region raises ValueError
-    naming two of its cells in one coset.  Along a row the label
-    L(x, y) = (y - g*x) mod q steps by -g mod q, so row y is every such
-    step of the label-indexed owners from label y on; the rows share
-    their ints.
+    naming two of its cells in one coset.  Along a row the label grows
+    by the lattice's step, so row y is every step-th of the label-indexed
+    owners from label y on; the rows share their ints.
     """
     ok, witness = is_fundamental_region(lattice, shape)
     if not ok:
         raise ValueError(
             f"shape is not a fundamental region: cells {witness[0]} and "
             f"{witness[1]} lie in the same coset")
-    q, g = lattice.q, lattice.g
+    q, step = lattice.q, lattice.step
     owner = [0] * q
-    for b, (bx, by) in enumerate(shape.cells):
-        owner[coset_label(q, g, bx, by)] = b
-    step = -g % q  # 3, as g = q - 3
+    for b, label in enumerate(lattice.labels(shape.cells)):
+        owner[label] = b
     cycle = owner * (step + 1)
     return (cycle[y:y + step * q:step] for y in range(q))
 
@@ -208,14 +207,13 @@ def tessellate(lattice: TorusLattice, shape: Polyomino) -> Tiling:
     A cell in the coset of shape cell (px, py) is that cell moved by the
     codeword k*(1, g) in column k = (x - px) mod q, its anchor index.  So
     the tiling is invariant under the generator: the cell c + (1, g) lies
-    in the next translate, and with s = -g mod q (3, as g = q - 3) row y
-    is row y - s moved one column left, every anchor less one mod q.  The
+    in the next translate, and with s the lattice's step row y is row
+    y - s moved one column left, every anchor less one mod q.  The
     first s rows are computed cell by cell, each later one from the row
     s above it, and only the last s rows are held.
     """
-    q = lattice.q
+    q, step = lattice.q, lattice.step
     rows = coset_rows(lattice, shape)  # the shape's check, before the grid
-    step = -lattice.g % q
     px = [x for x, _ in shape.cells]
     ks = list(range(q))  # one shared int object per anchor
     less_one = ks[-1:] + ks[:-1]  # less_one[k] = (k - 1) mod q

@@ -50,7 +50,8 @@ def interleaver(q_max: int) -> list[str]:
     from . import interleaving
     from .lattice import TorusLattice
     q_max = min(q_max, 41)
-    lines, small = [], []  # small: the q <= 9 maps built, for the sweeps
+    lines, bursts = [], []
+    control = "FAIL negative control q=5: the q=5 map could not be built"
     for q in range(5, q_max + 1, 2):
         try:
             mapping = interleaving.build_interleaver(TorusLattice(q))
@@ -61,19 +62,17 @@ def interleaver(q_max: int) -> list[str]:
             lines.append(f"FAIL interleaver q={q}: stream map is not a "
                          "bijection")
         if q <= 9:
-            small.append(mapping)
-    lines = lines or ["ok interleaver: bijection on 2q^2 edges for odd q "
-                      f"in [5, {q_max}]"]
-    for mapping in small:
-        q = mapping.lattice.q
-        cases, failures, witness = interleaving.burst_exhaustive_report(mapping)
-        lines.append(f"FAIL burst q={q}: {failures} of {cases} patterns "
-                     f"uncorrectable, first witness {witness}" if failures else
-                     f"ok burst q={q}: {cases} cluster patterns all correctable")
-    if not small or small[0].lattice.q != 5:
-        return lines + ["FAIL negative control q=5: the q=5 map could not "
-                        "be built"]
-    return lines + [
-        "ok negative control q=5: doubled cells always flagged"
-        if interleaving.double_slot_uncorrectable_exhaustive(small[0]) else
-        "FAIL negative control q=5: a doubled cell went unflagged"]
+            cases, failures, witness = \
+                interleaving.burst_exhaustive_report(mapping)
+            bursts.append(
+                f"FAIL burst q={q}: {failures} of {cases} patterns "
+                f"uncorrectable, first witness {witness}" if failures else
+                f"ok burst q={q}: {cases} cluster patterns all correctable")
+        if q == 5:
+            control = (
+                "ok negative control q=5: doubled cells always flagged"
+                if interleaving.double_slot_uncorrectable_exhaustive(mapping)
+                else "FAIL negative control q=5: a doubled cell went "
+                "unflagged")
+    return (lines or ["ok interleaver: bijection on 2q^2 edges for odd q "
+                      f"in [5, {q_max}]"]) + bursts + [control]

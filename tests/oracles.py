@@ -17,7 +17,7 @@ from hypothesis import assume, settings, strategies as st
 
 from toriclat.codes import codewords
 from toriclat.kernels import MODEL_ONE_PER_CELL, MODEL_UNIFORM_CLUSTER
-from toriclat.lattice import TorusLattice, coset_label
+from toriclat.lattice import TorusLattice
 from toriclat.rng import M64, stream
 from toriclat.tessellation import _SYMBOLS, Polyomino
 
@@ -44,11 +44,11 @@ def odd_q_and_polyomino(draw, q_values=range(5, 34, 2), fundamental=False):
         frontier = sorted(
             (x, y) for x, y in {(x + dx, y + dy) for x, y in cells
                                 for dx, dy in STEPS} - cells
-            if not fundamental or coset_label(q, g, x, y) not in labels)
+            if not fundamental or (y - g * x) % q not in labels)
         assume(frontier)
         x, y = draw(st.sampled_from(frontier))
         cells.add((x, y))
-        labels.add(coset_label(q, g, x, y))
+        labels.add((y - g * x) % q)
     return q, Polyomino.from_cells(cells)
 
 
@@ -121,12 +121,12 @@ def block_grid_by_cover(lattice, shape):
 
 
 def block_grid_by_labels(lattice, shape):
-    """The block of each cell's coset label, one label per cell."""
+    """The block of each cell's coset label (y - g*x) mod q, one label per
+    cell, written out here so that it does not rest on the lattice's own."""
     q, g = lattice.q, lattice.g
-    block_of_label = {coset_label(q, g, bx, by): b
+    block_of_label = {(by - g * bx) % q: b
                       for b, (bx, by) in enumerate(shape.cells)}
-    return tuple(block_of_label[coset_label(q, g, x, y)]
-                 for x, y in lattice.cells())
+    return tuple(block_of_label[(y - g * x) % q] for x, y in lattice.cells())
 
 
 def generates_same_code(lattice, vec):

@@ -8,14 +8,13 @@ from oracles import (PROPERTY, block_grid_by_cover, block_grid_by_labels,
                      odd_q_and_polyomino)
 from toriclat import kernels
 from toriclat.cli import _map_json
-from toriclat.interleaving import (MODEL_ONE_PER_CELL, MODEL_UNIFORM_CLUSTER,
-                                   build_interleaver,
+from toriclat.interleaving import (MODEL_ONE_PER_CELL, build_interleaver,
                                    burst_exhaustive_report, cluster_cells,
                                    deinterleave,
                                    double_slot_uncorrectable_exhaustive,
                                    is_correctable, simulate)
-from toriclat.lattice import (SLOT_LEFT, SLOT_TOP, Edge, TorusLattice,
-                              coset_label)
+from toriclat.lattice import SLOT_LEFT, SLOT_TOP, Edge, TorusLattice
+from toriclat.rng import MODEL_UNIFORM_CLUSTER
 from toriclat.tessellation import (Polyomino, canonical_polyomino, lee_sphere,
                                    tessellate)
 
@@ -119,8 +118,7 @@ def _assert_block_columns_follow_the_coset_label(mapping):
     for (bx, by), (xs, ys) in zip(mapping.shape.cells, columns):
         block = list(zip(xs, ys, strict=True))
         assert block == [((bx + k) % q, (by + k * g) % q) for k in range(q)]
-        assert {coset_label(q, g, x, y) for x, y in block} == \
-            {coset_label(q, g, bx, by)}
+        assert {(y - g * x) % q for x, y in block} == {(by - g * bx) % q}
         covered += block
     assert sorted(covered) == sorted(mapping.lattice.cells())
 

@@ -37,6 +37,18 @@ def test_lattice_validation():
         assert lat.g == 2 * (lat.n - 1) == lat.q - 3
 
 
+@pytest.mark.parametrize("q", range(5, 62, 2))
+def test_labels_and_step(q):
+    lat = TorusLattice(q)
+    cells = list(lat.cells())
+    labels = lat.labels(cells)
+    assert labels == [(y - lat.g * x) % q for x, y in cells]
+    assert lat.step == 3
+    label = dict(zip(cells, labels))
+    for x, y in cells:
+        assert (label[(x + 1) % q, y] - label[x, y]) % q == lat.step
+
+
 def test_translate_examples():
     assert TorusLattice(5).translate((0, 0), (1, 2)) == (1, 2)
     assert TorusLattice(5).translate((4, 3), (1, 2)) == (0, 0)

@@ -132,6 +132,24 @@ def test_losing_any_one_comparison_loses_dominance(kitaev, bmd):
     assert not ComparisonRow(5, INTERLEAVED, kitaev, bmd).dominates
 
 
+def test_dominates_reads_no_fraction_and_agrees_with_fractions(monkeypatch):
+    hand = (INTERLEAVED, WEAK, RATE_WINNER, GAIN_WINNER, RATE_TIE, GAIN_TIE)
+    rows = [compare(q) for q in range(5, 1002, 2)]
+    rows += [ComparisonRow(5, INTERLEAVED, kitaev, bmd)
+             for kitaev in hand for bmd in hand]
+    by_fractions = [all(row.interleaved.rate > b.rate
+                        and row.interleaved.gain > b.gain
+                        for b in (row.kitaev, row.bmd)) for row in rows]
+    assert True in by_fractions and False in by_fractions
+
+    def no_read(self):
+        raise AssertionError("dominates read a Fraction property")
+
+    for name in ("rate", "gain"):
+        monkeypatch.setattr(CodeParams, name, property(no_read))
+    assert [row.dominates for row in rows] == by_fractions
+
+
 def test_compare_rejects_q_through_the_lattice():
     for q in (3, 4, 6):
         with pytest.raises(ValueError, match=f"q must be odd and >= 5, got {q}"):

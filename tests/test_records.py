@@ -1,5 +1,5 @@
 """The record types' contract: validation, immutability, value equality,
-repr, and the cached reads of the two records that cache."""
+repr, and the cached read of the record that caches."""
 
 import pytest
 
@@ -80,13 +80,3 @@ def test_repr_names_the_record_and_its_fields():
 def test_stream_to_edge_is_computed_once():
     mapping = build_interleaver(LATTICE)
     assert mapping.stream_to_edge is mapping.stream_to_edge
-
-
-def test_dominates_is_computed_once(monkeypatch):
-    reads = []
-    rate = CodeParams.rate
-    monkeypatch.setattr(CodeParams, "rate", property(
-        lambda self: reads.append(self.family) or rate.fget(self)))
-    row = compare(5)
-    assert row.dominates and row.dominates
-    assert reads == ["interleaved", "kitaev", "interleaved", "bmd"]
