@@ -2,8 +2,9 @@
 
 Provides the brute-force oracle (minimum weight over the nonzero
 codewords in symmetric-residue form), the closed form (3 for n in
-{2, 3, 4}, else 4), and the minimal vertical/horizontal move vectors
-whose weights realize the minimum for n >= 3.
+{2, 3, 4}, else 4), the minimal vertical/horizontal move vectors
+whose weights realize the minimum for n >= 3, and `claim_failure`, the
+one check of the distance claim that `distance` and `verify` apply.
 """
 
 from __future__ import annotations
@@ -66,3 +67,15 @@ def distance_report(lattice: TorusLattice) -> DistanceReport:
     best = min(nonzero, key=mannheim_weight)  # the first of minimal weight
     return DistanceReport(lattice.q, mannheim_weight(best), best,
                           _candidates(lattice))
+
+
+def claim_failure(report: DistanceReport, closed: int) -> str | None:
+    """What fails of the distance claim, or None: the brute-force distance
+    must equal the closed form and, for n >= 3, the lightest move vector
+    must weigh the distance."""
+    least = min(w for _, w in report.candidate_weights)
+    if report.distance != closed:
+        return f"brute {report.distance} != closed {closed}"
+    if TorusLattice(report.q).n >= 3 and least != report.distance:
+        return f"move-vector minimum {least} != distance {report.distance}"
+    return None

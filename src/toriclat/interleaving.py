@@ -105,31 +105,21 @@ def cluster_cells(lattice: TorusLattice, shape: Polyomino, anchor: Cell
 def burst_exhaustive_report(mapping: InterleaverMap
                             ) -> tuple[int, int, tuple[int, int, int] | None]:
     """Account for all q**2 anchors x 3**q one-edge-per-cell patterns of
-    a built map's shape against its block grid.
-
-    Returns (cases, failures, witness); a failing witness is (ax, ay,
-    pattern_index).  Limited to q <= 9.
-    """
-    if mapping.lattice.q > 9:
-        raise ValueError("exhaustive burst enumeration is limited to q <= 9")
-    return burst_pattern_counts(mapping.lattice.q, mapping.shape.cells,
-                                mapping.block_grid)
-
-
-def burst_pattern_counts(
-    q: int, cells: tuple[Cell, ...], block_grid: tuple[int, ...]
-) -> tuple[int, int, tuple[int, int, int] | None]:
-    """Count, per anchor, the error patterns that overflow a block.
+    a built map's shape against its block grid, as (cases, failures,
+    witness), by counting per anchor the patterns that overflow a block.
 
     A pattern gives each cluster cell one of {0 none, 1 top, 2 left}; the
     patterns are numbered like itertools.product((0, 1, 2), repeat=n),
     cell 0 being the most significant base-3 digit.  A pattern fails when
     two errored cells share a block, so with m_b cluster cells in block b
-    exactly prod(1 + 2*m_b) patterns pass.  The first failing pattern
-    errs the top edges of just the colliding pair (i, j) that minimises
-    3**(n-1-i) + 3**(n-1-j).  The witness is (ax, ay, pattern_index) at
-    the first failing anchor in row-major order, or None.
+    exactly prod(1 + 2*m_b) patterns pass: O(q) per anchor, O(q**3) in
+    all.  The first failing pattern errs the top edges of just the
+    colliding pair (i, j) that minimises 3**(n-1-i) + 3**(n-1-j).  The
+    witness is (ax, ay, pattern_index) at the first failing anchor in
+    row-major order, or None.
     """
+    q, cells, block_grid = (mapping.lattice.q, mapping.shape.cells,
+                            mapping.block_grid)
     n = len(cells)
     total = 3 ** n
     failures = 0

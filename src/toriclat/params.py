@@ -67,9 +67,8 @@ def interleaved_params(lattice: TorusLattice) -> CodeParams:
 
 
 def kitaev_params(q: int) -> CodeParams:
-    """[[2q**2, 2, q]] on the q x q torus."""
-    if q < 5 or q % 2 == 0:
-        raise ValueError(f"q must be odd and >= 5, got {q}")
+    """[[2q**2, 2, q]] on the q x q torus, for the q TorusLattice takes."""
+    q = TorusLattice(q).q
     return CodeParams(FAMILY_KITAEV, 2 * q * q, 2, q, (q - 1) // 2)
 
 

@@ -5,22 +5,17 @@ modules when it runs, so that a caller can replace them there."""
 
 
 def distance(q_max: int) -> list[str]:
-    """The brute-force distance against the closed form and move vectors."""
-    from .distance import distance_report, min_distance_closed_form
+    """The distance layer's claim_failure at every odd q."""
+    from .distance import (claim_failure, distance_report,
+                           min_distance_closed_form)
     from .lattice import TorusLattice
     lines = []
     for q in range(5, q_max + 1, 2):
         lattice = TorusLattice(q)
-        brute = distance_report(lattice)
-        closed = min_distance_closed_form(lattice)
-        if brute.distance != closed:
-            lines.append(f"FAIL distance q={q}: brute {brute.distance} "
-                         f"!= closed {closed}")
-        elif lattice.n >= 3:
-            cand = min(w for _, w in brute.candidate_weights)
-            if cand != brute.distance:
-                lines.append(f"FAIL distance q={q}: move-vector minimum "
-                             f"{cand} != distance {brute.distance}")
+        failure = claim_failure(distance_report(lattice),
+                                min_distance_closed_form(lattice))
+        if failure:
+            lines.append(f"FAIL distance q={q}: {failure}")
     return lines or [
         f"ok distance: brute force == closed form for odd q in [5, {q_max}]"]
 

@@ -91,6 +91,87 @@ def test_distance_single_methods(capsys):
     assert "brute" not in payload
 
 
+# Faults in the distance layer, each as broken(real) for the name it
+# replaces on the module.
+
+def _horizontal_move_one_column_right(real):
+    # at q = 7 and 9 the horizontal move alone weighs the distance 3
+    from toriclat.distance import mannheim_weight
+
+    def candidates(lattice):
+        found = real(lattice)
+        if len(found) < 2:
+            return found
+        (x, y), _ = found[1]
+        return found[0], ((x + 1, y), mannheim_weight((x + 1, y)))
+    return candidates
+
+
+def _candidates_heavier_at_9(real):
+    def report(lattice):
+        found = real(lattice)
+        if lattice.q != 9:
+            return found
+        return found._replace(candidate_weights=tuple(
+            (v, w + 1) for v, w in found.candidate_weights))
+    return report
+
+
+DISTANCE_FAULTS = {
+    "closed-form-plus-one-at-7": (
+        "min_distance_closed_form",
+        lambda real: lambda lattice: real(lattice) + (lattice.q == 7)),
+    "candidates-heavier-at-9": ("distance_report", _candidates_heavier_at_9),
+    "horizontal-move-one-column-right": (
+        "_candidates", _horizontal_move_one_column_right),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("q,move", [("7", (2, 1)), ("9", (3, 0))])
+def test_distance_both_exits_1_on_a_wrong_move_vector(
+        capsys, monkeypatch, fmt, q, move):
+    from toriclat import distance
+    shifted = (move[0] + 1, move[1])
+    code, agreed = run(capsys, "distance", "--q", q, "--format", fmt)
+    assert code == 0
+    monkeypatch.setattr(distance, "_candidates",
+                        _horizontal_move_one_column_right(
+                            distance._candidates))
+    code, out = run(capsys, "distance", "--q", q, "--format", fmt)
+    assert code == 1
+    # the verdict is the exit code alone: the document shows the shifted
+    # move, whose weight is 4, and nothing else changes
+    if fmt == "json":
+        expected = json.loads(agreed)
+        expected["brute"]["candidates"][1] = {"vector": list(shifted),
+                                              "weight": 4}
+        assert expected["agree"] is True
+        assert out == json.dumps(expected, indent=2) + "\n"
+    else:
+        assert out == agreed.replace("({},{}) weight 3".format(*move),
+                                     "({},{}) weight 4".format(*shifted))
+    for method in ("brute", "closed"):
+        assert run(capsys, "distance", "--q", q, "--method", method,
+                   "--format", fmt)[0] == 0
+
+
+@pytest.mark.parametrize("fault", sorted(DISTANCE_FAULTS))
+def test_distance_both_fails_exactly_where_verify_does(
+        capsys, monkeypatch, fault):
+    from toriclat import distance
+    name, broken = DISTANCE_FAULTS[fault]
+    monkeypatch.setattr(distance, name, broken(getattr(distance, name)))
+    code, out = run(capsys, "verify", "--scope", "distance", "--q-max", "61")
+    assert code == 1
+    reported = {int(line.split("q=")[1].split(":")[0])
+                for line in out.splitlines()}
+    failing = {q for q in range(5, 62, 2)
+               if run(capsys, "distance", "--q", str(q),
+                      "--method", "both")[0] == 1}
+    assert failing == reported != set()
+
+
 def test_codewords_text_contains_grid_and_listing(capsys):
     code, out = run(capsys, "codewords", "--q", "5")
     assert code == 0
@@ -186,6 +267,29 @@ def test_tessellate_bad_shape_is_a_violation(tmp_path, capsys):
     shape.write_text("0 0\n1 0\n1 1\n1 2\n0 2\n", encoding="utf-8")
     code, _ = run(capsys, "tessellate", "--q", "5", "--shape", f"file:{shape}")
     assert code == 1
+
+
+@pytest.mark.parametrize("q", ["5", "7", "9"])
+def test_tessellate_lee_meets_the_check_its_cells_get_as_a_file(
+        tmp_path, capsys, q):
+    plus = tmp_path / "plus.txt"
+    plus.write_text("0 0\n1 0\n-1 0\n0 1\n0 -1\n", encoding="utf-8")
+    target = tmp_path / "tiling.txt"
+    results = []
+    for shape in ("lee", f"file:{plus}"):
+        code = main(["tessellate", "--q", q, "--shape", shape,
+                     "--out", str(target)])
+        captured = capsys.readouterr()
+        tiling = target.read_text(encoding="utf-8") if code == 0 else None
+        assert not code or not target.exists()
+        results.append((code, captured.out, captured.err, tiling))
+        target.unlink(missing_ok=True)
+    assert results[0] == results[1]
+    if q == "5":
+        assert results[0][:3] == (0, "", "")
+    else:
+        assert results[0] == (1, "", f"error: shape has 5 cells, expected "
+                              f"q={q}\n", None)
 
 
 @pytest.mark.parametrize("text", ["0 0\n1 0 0\n", "0 0\n1 x\n"])

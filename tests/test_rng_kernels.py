@@ -7,8 +7,7 @@ import oracles
 from oracles import (PROPERTY, burst_by_enumeration, simulate_by_streams,
                      unmix64)
 from toriclat import interleaving, kernels
-from toriclat.interleaving import (build_interleaver, burst_exhaustive_report,
-                                   burst_pattern_counts)
+from toriclat.interleaving import build_interleaver, burst_exhaustive_report
 from toriclat.lattice import TorusLattice
 from toriclat.rng import GOLDEN, M64, SplitMix64, mix64, stream
 
@@ -135,15 +134,17 @@ def test_burst_kernel_agrees_with_the_api_on_a_failing_layout():
     mapping = build_interleaver(TorusLattice(q))
     broken = mapping._replace(block_grid=tuple(bad_grid))
     reference = _burst_by_is_correctable(q, broken.shape, broken)
-    fast = burst_pattern_counts(q, cells, bad_grid)
+    fast = burst_exhaustive_report(broken)
     assert fast == burst_by_enumeration(q, cells, bad_grid) == reference
     assert fast[1] > 0
 
 
 def test_burst_witness_reports_the_failing_case():
     q = 5
-    cells, bad_grid = _corrupted_grid(q)
-    cases, failures, witness = burst_pattern_counts(q, cells, bad_grid)
+    _, bad_grid = _corrupted_grid(q)
+    mapping = build_interleaver(TorusLattice(q))
+    cases, failures, witness = burst_exhaustive_report(
+        mapping._replace(block_grid=tuple(bad_grid)))
     assert cases == 25 * 3 ** 5
     assert failures > 0
     # both cells collide at anchor (0,0); the first failing pattern errs
@@ -161,12 +162,12 @@ def test_burst_counts_match_the_enumeration_oracle_at_q7():
 @given(st.lists(st.tuples(st.integers(0, 24), st.integers(0, 4)),
                 min_size=1, max_size=4))
 def test_burst_counts_match_the_oracle_on_corrupted_grids(edits):
-    q, cells, grid = _interleaver_args(5)
-    grid = list(grid)
+    mapping = build_interleaver(TorusLattice(5))
+    grid = list(mapping.block_grid)
     for index, block in edits:
         grid[index] = block
-    assert burst_pattern_counts(q, cells, grid) == \
-        burst_by_enumeration(q, cells, grid)
+    assert burst_exhaustive_report(mapping._replace(block_grid=tuple(grid))) \
+        == burst_by_enumeration(5, mapping.shape.cells, grid)
 
 
 def test_unmix64_inverts_mix64():
