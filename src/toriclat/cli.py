@@ -32,8 +32,9 @@ EXIT_IO = 3
 MAX_PRECISION = 100
 STDOUT_SLICE = 1 << 16  # characters per write
 
-# tables.TABLE_IDS and rng.MODEL_ONE_PER_CELL, MODEL_UNIFORM_CLUSTER,
-# spelled out so that building the parser imports no layer
+# tables.TABLE_IDS and interleaving.MODEL_ONE_PER_CELL,
+# MODEL_UNIFORM_CLUSTER, spelled out so that building the parser imports
+# no layer
 TABLE_IDS = ("T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8")
 MODELS = ("one-per-cell", "uniform-cluster")
 # the checks of the verify layer, in report order
@@ -231,6 +232,8 @@ def cmd_distance(args) -> int:
         failure = claim_failure(report, closed)
     text = _json(payload) if args.format == "json" else "\n".join(lines) + "\n"
     _emit(text, args.out)
+    if failure:
+        sys.stderr.write(f"error: {failure}\n")
     return EXIT_VIOLATION if failure else EXIT_OK
 
 

@@ -27,8 +27,12 @@ from math import prod
 from typing import Iterator, NamedTuple, Sequence
 
 from .lattice import SLOT_LEFT, SLOT_TOP, Cell, Edge, TorusLattice
-from .rng import MODEL_ONE_PER_CELL
 from .tessellation import Grid, Polyomino, canonical_polyomino, coset_rows
+
+# the channel models simulate takes, named here so that naming one does not
+# load the kernel
+MODEL_ONE_PER_CELL = "one-per-cell"
+MODEL_UNIFORM_CLUSTER = "uniform-cluster"
 
 
 class InterleaverMap(NamedTuple("InterleaverMap", [
@@ -61,6 +65,13 @@ class InterleaverMap(NamedTuple("InterleaverMap", [
         """The block of an edge's cell, its coordinates taken mod q."""
         q = self.lattice.q
         return self.block_grid[(edge.y % q) * q + edge.x % q]
+
+    def cluster_blocks(self, ax: int, ay: int) -> list[int]:
+        """The block of each shape cell's translate by (ax, ay), in shape
+        order."""
+        q = self.lattice.q
+        return [self.block_grid[(ay + py) % q * q + (ax + px) % q]
+                for px, py in self.shape.cells]
 
 
 def build_interleaver(
@@ -118,16 +129,13 @@ def burst_exhaustive_report(mapping: InterleaverMap
     witness is (ax, ay, pattern_index) at the first failing anchor in
     row-major order, or None.
     """
-    q, cells, block_grid = (mapping.lattice.q, mapping.shape.cells,
-                            mapping.block_grid)
-    n = len(cells)
+    q, n = mapping.lattice.q, len(mapping.shape.cells)
     total = 3 ** n
     failures = 0
     witness: tuple[int, int, int] | None = None
     for ay in range(q):
         for ax in range(q):
-            blocks = [block_grid[((ay + py) % q) * q + (ax + px) % q]
-                      for px, py in cells]
+            blocks = mapping.cluster_blocks(ax, ay)
             passing = prod(1 + 2 * m for m in Counter(blocks).values())
             failures += total - passing
             if passing < total and witness is None:
@@ -181,16 +189,14 @@ def simulate(lattice: TorusLattice, trials: int, seed: int,
              model: str = MODEL_ONE_PER_CELL) -> SimulationStats:
     """Sample random cluster-error trials and count correctable ones.
 
-    Trial i draws from an independent stream derived from (seed, i), so
-    the statistics do not depend on how trials are split up; all of them
-    run in one kernel call.  one-per-cell picks none/top/left uniformly
-    per cluster cell; uniform-cluster draws q of the cluster's 2q edges
-    without replacement, which can err both slots of one cell and thereby
-    overflow a block.  A trial fails when a block gets more than t = 1
-    errors.  The first five failing trials are drawn again by
-    kernels.trial_errors, the trial's one stream-driven specification,
-    and their errored cells placed on the cluster as exemplars.  An
-    unknown model raises ValueError.
+    Trial i draws from its own stream of (seed, i) (see kernels), so the
+    statistics do not depend on how trials are split up.  one-per-cell
+    picks none/top/left uniformly per cluster cell; uniform-cluster draws
+    q of the cluster's 2q edges without replacement, which can err both
+    slots of one cell and thereby overflow a block.  A trial fails when a
+    block gets more than t = 1 errors.  The first five failing trials are
+    drawn again and placed on the cluster as exemplars.  An unknown model
+    raises ValueError.
     """
     # imported here, so that only the commands that run trials load it
     from . import kernels
@@ -201,12 +207,10 @@ def simulate(lattice: TorusLattice, trials: int, seed: int,
     # called through the module so that a tracer patching
     # toriclat.kernels.simulate_trials sees the call
     correctable, failures, failing = kernels.simulate_trials(
-        lattice.q, mapping.shape.cells, mapping.block_grid, seed, 0,
-        trials, model, 1, 5)
+        mapping, seed, 0, trials, model, 1, 5)
     exemplars = []
     for i in failing:
-        ax, ay, hits = kernels.trial_errors(lattice.q, mapping.shape.cells,
-                                            seed, i, model)
+        ax, ay, hits = kernels.trial_errors(mapping, seed, i, model)
         cells = cluster_cells(lattice, mapping.shape, (ax, ay))
         exemplars.append(FailureExemplar(
             i, (ax, ay), tuple(Edge(*cells[c], slot) for c, slot in hits)))

@@ -1,23 +1,22 @@
-"""The trial kernel of the seeded channel simulation.
+"""The channel's seeded draws and the trial kernel that runs them.
 
-Shared conventions:
-  * cells       -- the tiling shape's offsets, row-major; cell i of a
-                   cluster anchored at (ax, ay) is ((ax+px) % q, (ay+py) % q).
-  * block_grid  -- length q*q, the block index of the cell (x, y) stored
-                   row-major at index y*q + x.
-  * trial draws -- stream(seed, trial): anchor x, anchor y, then either
-    one choice in range(3) per cell (one-per-cell) or a partial
-    Fisher-Yates over the cluster's 2*ncells edges taking the first
-    ncells (uniform-cluster).
+Trial i of a run draws from stream(seed, i), a splitmix64 generator
+whose state starts at mix64(seed ^ mix64(i)), both taken mod 2^64, and
+whose draw d is mix64(state + (d+1)*GOLDEN).  A trial's draws depend on
+(seed, i) alone, so a run's results are fixed by its seed, however its
+trials are split up or cut short.  trial_errors makes one trial's draws
+through stream and is their one specification: anchor x, anchor y, then
+one choice in range(3) per cell (one-per-cell) or a partial Fisher-Yates
+over the cluster's 2*ncells edges taking the first ncells
+(uniform-cluster).
 
-trial_errors makes a trial's draws, each through rng.stream, and is
-their one specification.  simulate_trials runs the trials in blocks of
-LANES and computes their splitmix64 outputs on packed lanes: one Python
-int holds a 64-bit value per trial, each in its own 128-bit slot, so
-that an add, shift, xor, multiply or mask acts on every trial of the
-block at once and a product of two 64-bit values never reaches the next
-slot.  Draw d of the block's trials is one such row, computed the first
-time a trial needs it and unpacked into an array('Q').
+simulate_trials runs the trials in blocks of LANES and computes their
+draws on packed lanes: one Python int holds a 64-bit value per trial,
+each in its own 128-bit slot, so that an add, shift, xor, multiply or
+mask acts on every trial of the block at once and a product of two
+64-bit values never reaches the next slot.  Draw d of the block's trials
+is one such row, computed the first time a trial needs it and unpacked
+into an array('Q').
 
 The lanes leave out draws that cannot change an outcome.  At an anchor
 whose cluster puts its cells in distinct blocks (the verdict is kept per
@@ -30,23 +29,26 @@ at the first bit already seen.  Every other trial goes to trial_errors:
 one at t = 0, one at an anchor whose cluster meets a block twice (never,
 on the interleaver's own grid), and one that reads a packed draw
 below(n) would reject (probability below n / 2^64 per draw).
-tests/oracles.simulate_by_streams makes every draw through rng.stream
-and is held equal to this kernel.
+tests/oracles.simulate_by_streams makes every draw through stream and is
+held equal to this kernel.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from typing import Sequence
 
+from .interleaving import (MODEL_ONE_PER_CELL, MODEL_UNIFORM_CLUSTER,
+                           InterleaverMap)
 from .lattice import SLOT_LEFT, SLOT_TOP
-from .rng import (GOLDEN, M64, MIX_C1, MIX_C2, MODEL_ONE_PER_CELL,
-                  MODEL_UNIFORM_CLUSTER, stream)
 
 # the only backend; benchmark results record it so that only runs of one
 # backend are compared
 BACKEND = "python"
+
+M64 = (1 << 64) - 1
+GOLDEN = 0x9E3779B97F4A7C15
+MIX_C1, MIX_C2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB  # mix64's multipliers
 
 # trials per block, each a 128-bit slot of the packed ints
 LANES = 1024
@@ -56,6 +58,40 @@ _LOW = 0 if sys.byteorder == "little" else 1
 
 # an anchor's verdict: do its cluster's cells lie in distinct blocks?
 _UNKNOWN, _DISTINCT, _SHARED = 0, 1, 2
+
+
+def mix64(z: int) -> int:
+    """The splitmix64 finalizer, a 64-bit bijection."""
+    z &= M64
+    z = ((z ^ (z >> 30)) * MIX_C1) & M64
+    z = ((z ^ (z >> 27)) * MIX_C2) & M64
+    return z ^ (z >> 31)
+
+
+class SplitMix64:
+    __slots__ = ("_state",)
+
+    def __init__(self, state: int) -> None:
+        self._state = state & M64
+
+    def next_u64(self) -> int:
+        self._state = (self._state + GOLDEN) & M64
+        return mix64(self._state)
+
+    def below(self, n: int) -> int:
+        """Unbiased draw from range(n) by rejecting the low remainder zone."""
+        if n <= 0:
+            raise ValueError("n must be positive")
+        threshold = (1 << 64) % n
+        while True:
+            v = self.next_u64()
+            if v >= threshold:
+                return v % n
+
+
+def stream(seed: int, index: int) -> SplitMix64:
+    """The independent generator for one trial of a seeded run."""
+    return SplitMix64(mix64((seed & M64) ^ mix64(index)))
 
 
 def _pack(values: array) -> int:
@@ -73,7 +109,7 @@ def _unpack(packed: int, lanes: int) -> array:
 
 
 def _mix(z: int, mask: int) -> int:
-    """rng.mix64 on every slot of a packed int whose slots are < 2^64."""
+    """mix64 on every slot of a packed int whose slots are < 2^64."""
     z = ((z ^ (z >> 30)) & mask) * MIX_C1 & mask
     z = ((z ^ (z >> 27)) & mask) * MIX_C2 & mask
     return (z ^ (z >> 31)) & mask
@@ -88,7 +124,6 @@ class _Draws(dict):
         self.ones = ones
         self.mask = M64 * ones
         self.lanes = lanes
-        # state0 = mix64(seed ^ mix64(trial)), trial masked to 64 bits
         trials = (first & M64) * ones + _pack(array("Q", range(lanes)))
         mixed = _mix(trials & self.mask, self.mask)
         self.state = _mix(mixed ^ seed * ones, self.mask)
@@ -101,16 +136,15 @@ class _Draws(dict):
 
 
 def trial_errors(
-    q: int, cells: Sequence[tuple[int, int]], seed: int, trial: int,
-    model: str,
+    mapping: InterleaverMap, seed: int, trial: int, model: str,
 ) -> tuple[int, int, list[tuple[int, int]]]:
     """One trial's anchor (ax, ay) and errored edges, each a (cell index,
-    slot) pair, with every draw through rng.stream; any model but
+    slot) pair, with every draw through stream; any model but
     one-per-cell is uniform-cluster."""
+    q, ncells = mapping.lattice.q, len(mapping.shape.cells)
     rng = stream(seed, trial)
     ax = rng.below(q)
     ay = rng.below(q)
-    ncells = len(cells)
     if model == MODEL_ONE_PER_CELL:
         # choice 0 errs nothing, 1 the top edge, 2 the left edge
         choices = [rng.below(3) for _ in range(ncells)]
@@ -125,9 +159,7 @@ def trial_errors(
 
 
 def simulate_trials(
-    q: int,
-    cells: Sequence[tuple[int, int]],
-    block_grid: Sequence[int],
+    mapping: InterleaverMap,
     seed: int,
     start: int,
     count: int,
@@ -135,20 +167,14 @@ def simulate_trials(
     t: int = 1,
     max_record: int = 5,
 ) -> tuple[int, int, list[int]]:
-    """Run trials [start, start+count); return (correctable, failures,
-    first failing trial indices, at most max_record of them)."""
+    """Run trials [start, start+count) on the map; return (correctable,
+    failures, first failing trial indices, at most max_record of them)."""
     if model not in (MODEL_ONE_PER_CELL, MODEL_UNIFORM_CLUSTER):
         raise ValueError(f"unknown model {model!r}")
     if t < 0:
         raise ValueError("t must be >= 0")
-    ncells = len(cells)
+    q, ncells = mapping.lattice.q, len(mapping.shape.cells)
     nedges = 2 * ncells
-    pxs = [px % q for px, _ in cells]
-    pys = [py % q for _, py in cells]
-    # x % q and (y % q) * q for 0 <= x, y < 2q, so that a cluster cell's
-    # block takes no mod: block_grid[rows[ay + py] + cols[ax + px]]
-    cols = list(range(q)) * 2
-    rows = [y * q for y in range(q)] * 2
     # below(n) rejects raw outputs under 2^64 % n
     q_floor = (1 << 64) % q
     seed &= M64
@@ -177,8 +203,7 @@ def simulate_trials(
                 verdict = verdicts[anchor]
                 if verdict == _UNKNOWN:
                     ay, ax = divmod(anchor, q)
-                    blocks = {block_grid[rows[ay + py] + cols[ax + px]]
-                              for px, py in zip(pxs, pys)}
+                    blocks = set(mapping.cluster_blocks(ax, ay))
                     verdict = verdicts[anchor] = (
                         _DISTINCT if len(blocks) == ncells else _SHARED)
                 if verdict == _DISTINCT and settled:
@@ -201,11 +226,11 @@ def simulate_trials(
                             break
                         seen |= bit
             if ok is None:
-                ax, ay, hits = trial_errors(q, cells, seed, first + k, model)
+                ax, ay, hits = trial_errors(mapping, seed, first + k, model)
+                blocks = mapping.cluster_blocks(ax, ay)
                 counts = [0] * q
                 for i, _ in hits:
-                    counts[block_grid[rows[ay + pys[i]]
-                                      + cols[ax + pxs[i]]]] += 1
+                    counts[blocks[i]] += 1
                 ok = max(counts) <= t
             if ok:
                 correctable += 1

@@ -55,16 +55,17 @@ def codeword_listing(q: int = 5) -> dict[str, list[str]]:
     return {"column": columns, "row": rows}
 
 
-def generator_rows(qs=_GENERATOR_QS) -> dict[int, list[tuple[int, int]]]:
-    return {q: sorted(generator_set(TorusLattice(q)).vectors) for q in qs}
+def generator_rows() -> dict[int, list[tuple[int, int]]]:
+    return {q: sorted(generator_set(TorusLattice(q)).vectors)
+            for q in _GENERATOR_QS}
 
 
-def interleaved_rows(qs=_INTERLEAVED_QS) -> list[dict[str, Any]]:
+def interleaved_rows() -> list[dict[str, Any]]:
     # imported here, so that the grids (codewords' text output) do not
     # load params and fractions
     from .params import interleaved_params
     rows = []
-    for q in qs:
+    for q in _INTERLEAVED_QS:
         params = interleaved_params(TorusLattice(q))
         rows.append({"q": q, "n": params.n, "k": params.k, "t": params.t,
                      "rate": params.rate, "gain": params.gain})

@@ -16,9 +16,9 @@ from itertools import product
 from hypothesis import assume, settings, strategies as st
 
 from toriclat.codes import codewords
-from toriclat.kernels import MODEL_ONE_PER_CELL, MODEL_UNIFORM_CLUSTER
+from toriclat.interleaving import MODEL_ONE_PER_CELL, MODEL_UNIFORM_CLUSTER
+from toriclat.kernels import M64, stream
 from toriclat.lattice import TorusLattice
-from toriclat.rng import M64, stream
 from toriclat.tessellation import _SYMBOLS, Polyomino
 
 # every property test replays the same examples on every run
@@ -180,7 +180,7 @@ def _unxorshift(y, shift):
 
 
 def unmix64(z):
-    """The inverse of toriclat.rng.mix64: its steps undone in reverse."""
+    """The inverse of toriclat.kernels.mix64: its steps undone in reverse."""
     z = _unxorshift(z & M64, 31)
     z = z * pow(0x94D049BB133111EB, -1, 1 << 64) & M64
     z = _unxorshift(z, 27)
@@ -188,13 +188,15 @@ def unmix64(z):
     return _unxorshift(z, 30)
 
 
-def simulate_by_streams(q, cells, block_grid, seed, start, count, model,
-                        t=1, max_record=5):
-    """The trial kernel's specification: every draw through rng.stream.
+def simulate_by_streams(mapping, seed, start, count, model, t=1,
+                        max_record=5):
+    """The trial kernel's specification: every draw through kernels.stream.
 
     Same arguments and (correctable, failures, failing) result as
     toriclat.kernels.simulate_trials.
     """
+    q, cells, block_grid = (mapping.lattice.q, mapping.shape.cells,
+                            mapping.block_grid)
     ncells = len(cells)
     nedges = 2 * ncells
     correctable = 0

@@ -26,9 +26,13 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
+    return run_err(capsys, *argv)[:2]
+
+
+def run_err(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
-    return code, captured.out
+    return code, captured.out, captured.err
 
 
 def test_codewords_json(capsys):
@@ -67,8 +71,9 @@ def test_distance_disagreement_emits_one_document_and_exits_1(
     code, agreed = run(capsys, "distance", "--q", "11", "--format", fmt)
     assert code == 0
     monkeypatch.setattr(distance, "min_distance_closed_form", lambda lat: 5)
-    code, out = run(capsys, "distance", "--q", "11", "--format", fmt)
+    code, out, err = run_err(capsys, "distance", "--q", "11", "--format", fmt)
     assert code == 1
+    assert err == "error: brute 4 != closed 5\n"
     if fmt == "json":
         payload = json.loads(out)
         assert payload["closed"]["distance"] == 5
@@ -138,10 +143,11 @@ def test_distance_both_exits_1_on_a_wrong_move_vector(
     monkeypatch.setattr(distance, "_candidates",
                         _horizontal_move_one_column_right(
                             distance._candidates))
-    code, out = run(capsys, "distance", "--q", q, "--format", fmt)
+    code, out, err = run_err(capsys, "distance", "--q", q, "--format", fmt)
     assert code == 1
-    # the verdict is the exit code alone: the document shows the shifted
-    # move, whose weight is 4, and nothing else changes
+    assert err == "error: move-vector minimum 4 != distance 3\n"
+    # the verdict is the exit code and stderr: the document shows the
+    # shifted move, whose weight is 4, and nothing else changes
     if fmt == "json":
         expected = json.loads(agreed)
         expected["brute"]["candidates"][1] = {"vector": list(shifted),
@@ -164,12 +170,28 @@ def test_distance_both_fails_exactly_where_verify_does(
     monkeypatch.setattr(distance, name, broken(getattr(distance, name)))
     code, out = run(capsys, "verify", "--scope", "distance", "--q-max", "61")
     assert code == 1
-    reported = {int(line.split("q=")[1].split(":")[0])
+    # each FAIL line is "FAIL distance q=Q: TEXT"
+    reported = {int(line.split("q=")[1].split(":")[0]):
+                f"error: {line.split(': ', 1)[1]}\n"
                 for line in out.splitlines()}
-    failing = {q for q in range(5, 62, 2)
-               if run(capsys, "distance", "--q", str(q),
-                      "--method", "both")[0] == 1}
-    assert failing == reported != set()
+    failing = {}
+    for q in range(5, 62, 2):
+        code, _, err = run_err(capsys, "distance", "--q", str(q),
+                               "--method", "both")
+        if code == 1:
+            failing[q] = err
+        else:
+            assert (code, err) == (0, "")
+    assert failing == reported != {}
+
+
+@pytest.mark.parametrize("method", ["both", "brute", "closed"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_distance_writes_nothing_to_stderr_when_the_claim_holds(
+        capsys, method, fmt):
+    for q in range(5, 62, 2):
+        assert run_err(capsys, "distance", "--q", str(q), "--method", method,
+                       "--format", fmt)[::2] == (0, "")
 
 
 def test_codewords_text_contains_grid_and_listing(capsys):
@@ -975,7 +997,7 @@ def test_commands_import_only_their_layers(argv):
 ])
 def test_commands_that_run_no_trials_do_not_load_the_kernel(argv):
     # interleaving imports the kernel inside simulate, and the model names
-    # live in rng
+    # live in interleaving
     assert not _imported_modules(argv) & {"toriclat.kernels", "array"}
 
 

@@ -8,13 +8,12 @@ from oracles import (PROPERTY, block_grid_by_cover, block_grid_by_labels,
                      odd_q_and_polyomino)
 from toriclat import kernels
 from toriclat.cli import _map_json
-from toriclat.interleaving import (MODEL_ONE_PER_CELL, build_interleaver,
-                                   burst_exhaustive_report, cluster_cells,
-                                   deinterleave,
+from toriclat.interleaving import (MODEL_ONE_PER_CELL, MODEL_UNIFORM_CLUSTER,
+                                   build_interleaver, burst_exhaustive_report,
+                                   cluster_cells, deinterleave,
                                    double_slot_uncorrectable_exhaustive,
                                    is_correctable, simulate)
 from toriclat.lattice import SLOT_LEFT, SLOT_TOP, Edge, TorusLattice
-from toriclat.rng import MODEL_UNIFORM_CLUSTER
 from toriclat.tessellation import (Polyomino, canonical_polyomino, lee_sphere,
                                    tessellate)
 
@@ -306,8 +305,8 @@ TRIAL_ERRORS_Q7 = (
 @pytest.mark.parametrize("case", range(len(TRIAL_ERRORS_Q7)))
 def test_trial_errors_are_pinned_for_both_models(case):
     model, seed, trial, anchor, hits = TRIAL_ERRORS_Q7[case]
-    cells = canonical_polyomino(TorusLattice(7)).cells
-    assert kernels.trial_errors(7, cells, seed, trial, model) == \
+    mapping = build_interleaver(TorusLattice(7))
+    assert kernels.trial_errors(mapping, seed, trial, model) == \
         (*anchor, hits)
 
 

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from oracles import (PROPERTY, burst_by_enumeration, simulate_by_streams,
-                     unmix64)
+from oracles import (PROPERTY, block_grid_by_cover, burst_by_enumeration,
+                     simulate_by_streams, unmix64)
 from toriclat import interleaving, kernels
-from toriclat.interleaving import build_interleaver, burst_exhaustive_report
+from toriclat.interleaving import (build_interleaver, burst_exhaustive_report,
+                                   cluster_cells)
+from toriclat.kernels import GOLDEN, M64, SplitMix64, mix64, stream
 from toriclat.lattice import TorusLattice
-from toriclat.rng import GOLDEN, M64, SplitMix64, mix64, stream
 
 
 def test_mix64_is_stable():
@@ -56,10 +57,10 @@ def _interleaver_args(q):
 
 
 def test_chunked_runs_reproduce_the_whole_run():
-    q, cells, grid = _interleaver_args(7)
+    mapping = build_interleaver(TorusLattice(7))
     model = kernels.MODEL_UNIFORM_CLUSTER
-    whole = kernels.simulate_trials(q, cells, grid, 9, 0, 1000, model)
-    parts = [kernels.simulate_trials(q, cells, grid, 9, s, 250, model)
+    whole = kernels.simulate_trials(mapping, 9, 0, 1000, model)
+    parts = [kernels.simulate_trials(mapping, 9, s, 250, model)
              for s in (0, 250, 500, 750)]
     assert whole[0] == sum(p[0] for p in parts)
     assert whole[1] == sum(p[1] for p in parts)
@@ -125,6 +126,38 @@ def _corrupted_grid(q):
     bad_grid[cells[1][1] * q + cells[1][0]] = \
         bad_grid[cells[0][1] * q + cells[0][0]]
     return cells, bad_grid
+
+
+def _corrupted_map(q):
+    _, bad_grid = _corrupted_grid(q)
+    return build_interleaver(TorusLattice(q))._replace(
+        block_grid=tuple(bad_grid))
+
+
+@pytest.mark.parametrize("q", range(5, 42, 2))
+def test_every_anchor_of_the_interleavers_map_meets_each_block_once(q):
+    # the fact the kernel's per-anchor verdict rests on
+    mapping = build_interleaver(TorusLattice(q))
+    for ay in range(q):
+        for ax in range(q):
+            assert sorted(mapping.cluster_blocks(ax, ay)) == list(range(q))
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_cluster_blocks_read_the_grid_at_the_translated_cells(q):
+    lattice = TorusLattice(q)
+    mapping = build_interleaver(lattice)
+    _, bad_grid = _corrupted_grid(q)
+    shared = []  # per grid, the anchors whose cluster meets a block twice
+    for grid, read in ((block_grid_by_cover(lattice, mapping.shape), mapping),
+                       (bad_grid, _corrupted_map(q))):
+        shared.append(0)
+        for ax, ay in lattice.cells():
+            blocks = read.cluster_blocks(ax, ay)
+            assert blocks == [grid[y * q + x] for x, y in cluster_cells(
+                lattice, mapping.shape, (ax, ay))]
+            shared[-1] += sorted(blocks) != list(range(q))
+    assert shared[0] == 0 < shared[1]
 
 
 def test_burst_kernel_agrees_with_the_api_on_a_failing_layout():
@@ -218,19 +251,18 @@ def test_a_rejected_draw_reruns_its_trial_through_the_stream(
     # below(n) rejects raw outputs under 2^64 % n, which sampling never
     # meets; a raw 0 is rejected for every n > 1 that is not a power of 2
     q, layout, model, d = REJECTION_CASES[case]
-    q, cells, grid = _interleaver_args(q)
-    if layout == "corrupted":
-        cells, grid = _corrupted_grid(q)
+    mapping = (_corrupted_map(q) if layout == "corrupted"
+               else build_interleaver(TorusLattice(q)))
     trial = 1000
     seed = _seed_drawing(0, trial, d)
     rng = stream(seed, trial)
     assert [rng.next_u64() for _ in range(d + 1)][d] == 0
-    one = (q, cells, grid, seed, trial, 1, model, 1, 1)
+    one = (mapping, seed, trial, 1, model, 1, 1)
     assert simulate_by_streams(*one) != \
         _outcome_without_rejection(monkeypatch, one)
     assert kernels.simulate_trials(*one) == simulate_by_streams(*one)
     # the trial in the fourth lane of its block, among ordinary trials
-    window = (q, cells, grid, seed, trial - 3, 8, model, 1, 8)
+    window = (mapping, seed, trial - 3, 8, model, 1, 8)
     assert kernels.simulate_trials(*window) == simulate_by_streams(*window)
 
 
@@ -266,22 +298,18 @@ def test_packed_draws_are_the_streams_draws_lane_for_lane(start):
 ])
 def test_the_kernel_matches_the_oracle_across_lane_blocks(model, t, start,
                                                           count):
-    q = 7
-    cells, grid = _corrupted_grid(q)
-    args = (q, cells, grid, 11, start, count, model, t, count)
+    args = (_corrupted_map(7), 11, start, count, model, t, count)
     assert kernels.simulate_trials(*args) == simulate_by_streams(*args)
 
 
 def test_max_record_fills_across_a_block_boundary():
     # one-per-cell fails only where the cluster meets the corrupted cell's
     # block twice, about 1% of trials at q = 41
-    q = 41
-    cells, grid = _corrupted_grid(q)
+    mapping = _corrupted_map(41)
     model = kernels.MODEL_ONE_PER_CELL
-    first_block = simulate_by_streams(q, cells, grid, 5, 3, kernels.LANES,
+    first_block = simulate_by_streams(mapping, 5, 3, kernels.LANES,
                                       model)[1]
-    args = (q, cells, grid, 5, 3, 2 * kernels.LANES, model, 1,
-            first_block + 2)
+    args = (mapping, 5, 3, 2 * kernels.LANES, model, 1, first_block + 2)
     result = kernels.simulate_trials(*args)
     assert result == simulate_by_streams(*args)
     assert len(result[2]) == first_block + 2
@@ -305,11 +333,11 @@ CORRECTABLE_Q13_SEED_2026 = (
 def test_the_benchmark_sized_run_is_pinned_trial_for_trial():
     # the benchmark checks simulate's counts only to 5 sigma, so an exact
     # count is held here
-    q, cells, grid = _interleaver_args(13)
+    mapping = build_interleaver(TorusLattice(13))
     model = kernels.MODEL_UNIFORM_CLUSTER
-    assert kernels.simulate_trials(q, cells, grid, 2026, 0, 100000,
+    assert kernels.simulate_trials(mapping, 2026, 0, 100000,
                                    model) == (72, 99928, [0, 1, 2, 3, 4])
-    _, _, failing = kernels.simulate_trials(q, cells, grid, 2026, 0, 100000,
+    _, _, failing = kernels.simulate_trials(mapping, 2026, 0, 100000,
                                             model, 1, 100000)
     assert tuple(sorted(set(range(100000)) - set(failing))) == \
         CORRECTABLE_Q13_SEED_2026
@@ -318,14 +346,16 @@ def test_the_benchmark_sized_run_is_pinned_trial_for_trial():
 @st.composite
 def kernel_arguments(draw):
     """simulate_trials arguments on a canonical or edited block grid."""
-    q, cells, grid = _interleaver_args(draw(st.sampled_from(range(5, 42, 2))))
-    grid = list(grid)
+    q = draw(st.sampled_from(range(5, 42, 2)))
+    mapping = build_interleaver(TorusLattice(q))
+    grid = list(mapping.block_grid)
     edits = draw(st.lists(st.tuples(st.integers(0, q * q - 1),
                                     st.integers(0, q - 1)),
                           max_size=3 * q))
     for index, block in edits:
         grid[index] = block
-    return (q, cells, grid, draw(st.integers(0, M64)),
+    return (mapping._replace(block_grid=tuple(grid)),
+            draw(st.integers(0, M64)),
             draw(st.integers(0, 2 ** 40)), draw(st.integers(0, 300)),
             draw(st.sampled_from((kernels.MODEL_ONE_PER_CELL,
                                   kernels.MODEL_UNIFORM_CLUSTER))),
@@ -340,9 +370,7 @@ def test_pure_kernel_matches_the_stream_oracle(args):
 
 def test_safe_anchor_skip_keeps_the_failures_of_a_corrupted_grid():
     # the cluster at (0, 0) meets one block twice, so one-per-cell can fail
-    q = 7
-    cells, bad_grid = _corrupted_grid(q)
-    args = (q, cells, bad_grid, 3, 0, 2000, kernels.MODEL_ONE_PER_CELL, 1,
+    args = (_corrupted_map(7), 3, 0, 2000, kernels.MODEL_ONE_PER_CELL, 1,
             2000)
     result = kernels.simulate_trials(*args)
     assert result[1] > 0
@@ -355,16 +383,16 @@ def test_safe_anchor_skip_keeps_the_failures_of_a_corrupted_grid():
 def test_pure_kernel_rejects_unknown_models_and_negative_t(model, t):
     # with t < 0 even an error-free trial would fail, which the early
     # exits do not model
-    q, cells, grid = _interleaver_args(5)
+    mapping = build_interleaver(TorusLattice(5))
     with pytest.raises(ValueError):
-        kernels.simulate_trials(q, cells, grid, 1, 0, 1, model, t)
+        kernels.simulate_trials(mapping, 1, 0, 1, model, t)
 
 
 @pytest.mark.parametrize("q", [5, 13, 41])
 def test_one_per_cell_never_fails_on_the_canonical_grid(q):
-    q, cells, grid = _interleaver_args(q)
+    mapping = build_interleaver(TorusLattice(q))
     assert kernels.simulate_trials(
-        q, cells, grid, 5, 0, 3000, kernels.MODEL_ONE_PER_CELL) == \
+        mapping, 5, 0, 3000, kernels.MODEL_ONE_PER_CELL) == \
         (3000, 0, [])
 
 
@@ -376,7 +404,7 @@ def test_the_interleavers_own_grid_never_leaves_the_lanes(monkeypatch, q,
     # every anchor of the canonical grid puts its cells in distinct
     # blocks, so at t = 1 no trial needs kernels.trial_errors; a verdict
     # that sent them there would keep every result and run ~5x slower
-    q, cells, grid = _interleaver_args(q)
+    mapping = build_interleaver(TorusLattice(q))
     calls = []
     real = kernels.trial_errors
 
@@ -385,6 +413,6 @@ def test_the_interleavers_own_grid_never_leaves_the_lanes(monkeypatch, q,
         return real(*args)
 
     monkeypatch.setattr(kernels, "trial_errors", counting)
-    result = kernels.simulate_trials(q, cells, grid, 8, 0, 3000, model)
+    result = kernels.simulate_trials(mapping, 8, 0, 3000, model)
     assert sum(result[:2]) == 3000
     assert calls == []
