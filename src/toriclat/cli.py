@@ -360,32 +360,28 @@ def cmd_interleave(args) -> int:
 
 def _map_json(mapping: InterleaverMap) -> str:
     """{"q": q, "map": [[i, x, y, slot], ...]} as json.dumps(indent=2)
-    prints it, one piece per block and slot.
+    prints it, one piece per run of the map.
 
-    A piece is one join over its slot's list of the q entries' parts.
-    The brackets, separators and slot digit are filled once; each block
-    sets the stream indices and its x and y columns by slice assignment,
-    x and y as strings sliced off a cycle of the q coordinate strings.
+    A piece is one join over its slot's list of the q entries' parts,
+    whose brackets, separators and slot digit are filled once; each run
+    sets its stream indices and x and y columns by slice assignment.
     """
-    from .lattice import SLOT_LEFT, SLOT_TOP
     q = mapping.lattice.q
     sep = ",\n      "
-    pieces = []
-    for slot in (SLOT_TOP, SLOT_LEFT):
-        # the opening bracket, then i, x, y and the close of each entry
-        piece = ["    [\n      "] + [
-            "", sep, "", sep, "", f"{sep}{slot}\n    ],\n    [\n      "] * q
-        piece[-1] = f"{sep}{slot}\n    ]"
-        pieces.append(piece)
+    pieces = {}
     parts = [f'{{\n  "q": {q},\n  "map": [\n']
-    i = 0
-    for xs, ys in mapping.block_columns([str(v) for v in range(q)]):
-        for piece in pieces:
-            piece[1::6] = map(str, range(i, i + q))
-            piece[3::6] = xs
-            piece[5::6] = ys
-            parts += "".join(piece), ",\n"
-            i += q
+    for first, slot, xs, ys in mapping.runs([str(v) for v in range(q)]):
+        piece = pieces.get(slot)
+        if piece is None:
+            # the opening bracket, then i, x, y and the close of each entry
+            close = f"{sep}{slot}\n    ]"
+            piece = pieces[slot] = ["    [\n      "] + [
+                "", sep, "", sep, "", close + ",\n    [\n      "] * q
+            piece[-1] = close
+        piece[1::6] = map(str, range(first, first + q))
+        piece[3::6] = xs
+        piece[5::6] = ys
+        parts += "".join(piece), ",\n"
     parts[-1] = "\n  ]\n}\n"  # in place of the last separator
     return "".join(parts)
 

@@ -3,13 +3,13 @@
 Stream positions are split into q blocks of 2q.  Block b owns both edge
 slots of the q cells {c_b + k*(1, g) mod q}, the coset of c_b, the b-th
 cell of the tiling shape in row-major order (c_0 = (0, 0) for the
-canonical shape), as the tiling's `coset_rows` reads it off: positions
-[2qb, 2qb+q) take the top edges in k order, positions [2qb+q, 2qb+2q)
-the left edges.  Because the shape's cells lie in pairwise distinct
-cosets, any translate of the shape touches every block in exactly one
-cell, so a cluster of errors confined to one translate with at most one
-errored edge per cell leaves at most one error per block -- correctable
-by a per-block capability of t = 1.
+canonical shape), as the tiling's `coset_rows` reads it off;
+InterleaverMap.runs says where in the block each edge sits.  Because the
+shape's cells lie in pairwise distinct cosets, any translate of the
+shape touches every block in exactly one cell, so a cluster of errors
+confined to one translate with at most one errored edge per cell leaves
+at most one error per block -- correctable by a per-block capability of
+t = 1.
 
 The block partition depends only on the code, which the lattice alone
 fixes, not on which generator enumerates it: every generating vector
@@ -21,7 +21,6 @@ layout is the one exposed.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cached_property
 from itertools import chain, combinations, repeat
 from math import prod
 from typing import Iterator, NamedTuple, Sequence
@@ -39,27 +38,32 @@ class InterleaverMap(NamedTuple("InterleaverMap", [
         ("lattice", TorusLattice), ("shape", Polyomino),
         ("block_grid", tuple[int, ...])])):
     """Bijection between stream positions 0..2q**2-1 and torus edges, laid
-    out by block_columns; without __slots__, so cached_property caches."""
+    out by runs."""
 
-    def block_columns(self, names: Sequence | None = None
-                      ) -> Iterator[tuple[list, list]]:
-        """Each block's q cells in stream order, as an x and a y column.
+    __slots__ = ()
 
-        Block b holds c_b + k*(1, g) mod q for k = 0..q-1: x runs up range(q)
-        from bx, y down it from by in steps of lattice.step, both sliced off
-        one cycle.  Its positions take these top edges, then the left ones.
-        Given q names, a coordinate v comes as names[v] instead."""
+    def runs(self, names: Sequence | None = None
+             ) -> Iterator[tuple[int, int, list, list]]:
+        """The 2q runs of q stream positions in stream order, each as
+        (first position, slot, x column, y column): edge `slot` of block
+        b's k-th cell c_b + k*(1, g) mod q sits at 2qb + slot*q + k.
+
+        x runs up range(q) from bx, y down it from by in steps of
+        lattice.step, both sliced off one cycle.  Given q names, a
+        coordinate v comes as names[v] instead."""
         q, step = self.lattice.q, self.lattice.step
         cycle = list(range(q) if names is None else names) * (step + 1)
-        for bx, by in self.shape.cells:
-            yield cycle[bx:bx + q], cycle[by + step * q:by:-step]
+        for b, (bx, by) in enumerate(self.shape.cells):
+            xs, ys = cycle[bx:bx + q], cycle[by + step * q:by:-step]
+            for slot in (SLOT_TOP, SLOT_LEFT):
+                yield 2 * q * b + slot * q, slot, xs, ys
 
-    @cached_property
+    @property
     def stream_to_edge(self) -> tuple[Edge, ...]:
-        """The torus edge at each stream position, block by block."""
+        """The torus edge at each stream position."""
         return tuple(chain.from_iterable(
-            map(Edge, xs, ys, repeat(slot)) for xs, ys in self.block_columns()
-            for slot in (SLOT_TOP, SLOT_LEFT)))
+            map(Edge, xs, ys, repeat(slot))
+            for _, slot, xs, ys in self.runs()))
 
     def edge_block(self, edge: Edge) -> int:
         """The block of an edge's cell, its coordinates taken mod q."""
@@ -208,11 +212,8 @@ def simulate(lattice: TorusLattice, trials: int, seed: int,
     # toriclat.kernels.simulate_trials sees the call
     correctable, failures, failing = kernels.simulate_trials(
         mapping, seed, 0, trials, model, 1, 5)
-    exemplars = []
-    for i in failing:
-        ax, ay, hits = kernels.trial_errors(mapping, seed, i, model)
-        cells = cluster_cells(lattice, mapping.shape, (ax, ay))
-        exemplars.append(FailureExemplar(
-            i, (ax, ay), tuple(Edge(*cells[c], slot) for c, slot in hits)))
+    exemplars = tuple(
+        FailureExemplar(i, *kernels.trial_errors(mapping, seed, i, model))
+        for i in failing)
     return SimulationStats(lattice.q, model, seed, trials, correctable,
-                           failures, tuple(exemplars))
+                           failures, exemplars)

@@ -25,10 +25,11 @@ one-per-cell and at most twice under uniform-cluster, so where that
 bound is <= t the trial ends after its anchor draws.  Under
 uniform-cluster with t = 1 the trial fails exactly when it draws both
 edges of one cell, so its Fisher-Yates deck holds cell bits and it stops
-at the first bit already seen.  Every other trial goes to trial_errors:
-one at t = 0, one at an anchor whose cluster meets a block twice (never,
-on the interleaver's own grid), and one that reads a packed draw
-below(n) would reject (probability below n / 2^64 per draw).
+at the first bit already seen.  Every other trial leaves the lanes and
+is judged by interleaving.is_correctable on the edges trial_errors
+draws: one at t = 0, one at an anchor whose cluster meets a block twice
+(never, on the interleaver's own grid), and one that reads a packed
+draw below(n) would reject (probability below n / 2^64 per draw).
 tests/oracles.simulate_by_streams makes every draw through stream and is
 held equal to this kernel.
 """
@@ -39,8 +40,8 @@ import sys
 from array import array
 
 from .interleaving import (MODEL_ONE_PER_CELL, MODEL_UNIFORM_CLUSTER,
-                           InterleaverMap)
-from .lattice import SLOT_LEFT, SLOT_TOP
+                           InterleaverMap, cluster_cells, is_correctable)
+from .lattice import SLOT_LEFT, SLOT_TOP, Cell, Edge
 
 # the only backend; benchmark results record it so that only runs of one
 # backend are compared
@@ -137,25 +138,27 @@ class _Draws(dict):
 
 def trial_errors(
     mapping: InterleaverMap, seed: int, trial: int, model: str,
-) -> tuple[int, int, list[tuple[int, int]]]:
-    """One trial's anchor (ax, ay) and errored edges, each a (cell index,
-    slot) pair, with every draw through stream; any model but
-    one-per-cell is uniform-cluster."""
+) -> tuple[Cell, tuple[Edge, ...]]:
+    """One trial's anchor (ax, ay) and errored edges, each placed on its
+    cell of the cluster_cells translate, with every draw through stream.
+    An unknown model raises ValueError."""
+    if model not in (MODEL_ONE_PER_CELL, MODEL_UNIFORM_CLUSTER):
+        raise ValueError(f"unknown model {model!r}")
     q, ncells = mapping.lattice.q, len(mapping.shape.cells)
     rng = stream(seed, trial)
-    ax = rng.below(q)
-    ay = rng.below(q)
+    anchor = rng.below(q), rng.below(q)
+    cells = cluster_cells(mapping.lattice, mapping.shape, anchor)
     if model == MODEL_ONE_PER_CELL:
         # choice 0 errs nothing, 1 the top edge, 2 the left edge
         choices = [rng.below(3) for _ in range(ncells)]
-        return ax, ay, [(i, SLOT_TOP if c == 1 else SLOT_LEFT)
-                        for i, c in enumerate(choices) if c]
+        return anchor, tuple(Edge(*cells[i], SLOT_TOP if c == 1 else SLOT_LEFT)
+                             for i, c in enumerate(choices) if c)
     # edge e is slot e & 1 of cell e >> 1
     perm = list(range(2 * ncells))
     for i in range(ncells):
         j = i + rng.below(2 * ncells - i)
         perm[i], perm[j] = perm[j], perm[i]
-    return ax, ay, [(e >> 1, e & 1) for e in perm[:ncells]]
+    return anchor, tuple(Edge(*cells[e >> 1], e & 1) for e in perm[:ncells])
 
 
 def simulate_trials(
@@ -226,12 +229,8 @@ def simulate_trials(
                             break
                         seen |= bit
             if ok is None:
-                ax, ay, hits = trial_errors(mapping, seed, first + k, model)
-                blocks = mapping.cluster_blocks(ax, ay)
-                counts = [0] * q
-                for i, _ in hits:
-                    counts[blocks[i]] += 1
-                ok = max(counts) <= t
+                _, edges = trial_errors(mapping, seed, first + k, model)
+                ok = is_correctable(mapping, edges, t)[0]
             if ok:
                 correctable += 1
             elif len(failing) < max_record:

@@ -106,16 +106,19 @@ def test_block_grid_matches_the_cover_oracle_on_random_shapes(q_and_shape):
     else:
         mapping = build_interleaver(lat, shape)
         assert mapping.block_grid == expected
-        _assert_block_columns_follow_the_coset_label(mapping)
+        _assert_runs_follow_the_coset_label(mapping)
 
 
-def _assert_block_columns_follow_the_coset_label(mapping):
+def _assert_runs_follow_the_coset_label(mapping):
     q, g = mapping.lattice.q, mapping.lattice.g
-    columns = list(mapping.block_columns())
-    assert len(columns) == q
+    runs = list(mapping.runs())
+    assert len(runs) == 2 * q
+    assert [first for first, _, _, _ in runs] == list(range(0, 2 * q * q, q))
+    assert [slot for _, slot, _, _ in runs] == [SLOT_TOP, SLOT_LEFT] * q
     covered = []
-    for (bx, by), (xs, ys) in zip(mapping.shape.cells, columns):
-        block = list(zip(xs, ys, strict=True))
+    for (bx, by), top, left in zip(mapping.shape.cells, runs[::2], runs[1::2]):
+        assert top[2:] == left[2:]
+        block = list(zip(*top[2:], strict=True))
         assert block == [((bx + k) % q, (by + k * g) % q) for k in range(q)]
         assert {(y - g * x) % q for x, y in block} == {(by - g * bx) % q}
         covered += block
@@ -124,9 +127,9 @@ def _assert_block_columns_follow_the_coset_label(mapping):
 
 @pytest.mark.parametrize("q", range(5, 62, 2))
 def test_block_columns_follow_the_coset_label(q):
+    # each block's x and y columns, as its two runs carry them
     # q = 9, 15, ...: g = q - 3 is then not invertible mod q
-    _assert_block_columns_follow_the_coset_label(
-        build_interleaver(TorusLattice(q)))
+    _assert_runs_follow_the_coset_label(build_interleaver(TorusLattice(q)))
 
 
 def test_build_accepts_the_lee_sphere():
@@ -134,7 +137,7 @@ def test_build_accepts_the_lee_sphere():
     mapping = build_interleaver(TorusLattice(5), lee_sphere())
     assert len(set(mapping.stream_to_edge)) == 50
     assert mapping.shape.cells[0] != (0, 0)
-    _assert_block_columns_follow_the_coset_label(mapping)
+    _assert_runs_follow_the_coset_label(mapping)
     edges = [Edge((bx + k) % 5, (by + 2 * k) % 5, slot)
              for bx, by in mapping.shape.cells
              for slot in (SLOT_TOP, SLOT_LEFT) for k in range(5)]
@@ -281,7 +284,8 @@ def test_the_benchmark_sized_run_pins_its_exemplars_edge_for_edge():
 
 # kernels.trial_errors on the q = 7 canonical shape: (model, seed, trial,
 # anchor, (cell index, slot) hits), recorded from the same replay; under
-# one-per-cell choice 1 erred the top edge and choice 2 the left edge
+# one-per-cell choice 1 erred the top edge and choice 2 the left edge.
+# A hit (i, slot) is edge slot of cell i of the anchored cluster.
 TRIAL_ERRORS_Q7 = (
     (MODEL_ONE_PER_CELL, 0, 0, (2, 1),
      [(0, 0), (1, 0), (2, 0), (4, 1), (5, 1), (6, 1)]),
@@ -305,9 +309,11 @@ TRIAL_ERRORS_Q7 = (
 @pytest.mark.parametrize("case", range(len(TRIAL_ERRORS_Q7)))
 def test_trial_errors_are_pinned_for_both_models(case):
     model, seed, trial, anchor, hits = TRIAL_ERRORS_Q7[case]
-    mapping = build_interleaver(TorusLattice(7))
+    lattice = TorusLattice(7)
+    mapping = build_interleaver(lattice)
+    cells = cluster_cells(lattice, mapping.shape, anchor)
     assert kernels.trial_errors(mapping, seed, trial, model) == \
-        (*anchor, hits)
+        (anchor, tuple(Edge(*cells[i], slot) for i, slot in hits))
 
 
 def test_simulate_is_deterministic_and_worker_independent():

@@ -1,5 +1,5 @@
 """The record types' contract: validation, immutability, value equality,
-repr, and the cached read of the record that caches."""
+repr and slots."""
 
 import pytest
 
@@ -77,6 +77,8 @@ def test_repr_names_the_record_and_its_fields():
         "InterleaverMap(lattice=TorusLattice(q=5), shape=Polyomino(cells=")
 
 
-def test_stream_to_edge_is_computed_once():
-    mapping = build_interleaver(LATTICE)
-    assert mapping.stream_to_edge is mapping.stream_to_edge
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_are_slotted(name):
+    record = RECORDS[name]()
+    assert vars(type(record))["__slots__"] == ()
+    assert not hasattr(record, "__dict__")

@@ -388,6 +388,15 @@ def test_pure_kernel_rejects_unknown_models_and_negative_t(model, t):
         kernels.simulate_trials(mapping, 1, 0, 1, model, t)
 
 
+@pytest.mark.parametrize("model", ["bogus", "one_per_cell"])
+def test_trial_errors_rejects_unknown_models(model):
+    # a near miss of a model name must not draw the other channel
+    mapping = build_interleaver(TorusLattice(5))
+    with pytest.raises(ValueError) as got:
+        kernels.trial_errors(mapping, 1, 0, model)
+    assert str(got.value) == f"unknown model {model!r}"
+
+
 @pytest.mark.parametrize("q", [5, 13, 41])
 def test_one_per_cell_never_fails_on_the_canonical_grid(q):
     mapping = build_interleaver(TorusLattice(q))
