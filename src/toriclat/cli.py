@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from typing import TYPE_CHECKING
 
@@ -53,10 +54,19 @@ def _output(out: str | None):
         def write(piece: str) -> None:
             for i in range(0, len(piece), STDOUT_SLICE):
                 f.write(piece[i:i + STDOUT_SLICE])
-        yield write
-        # flushed here, so that a closed pipe is reported as an i/o error
-        # and not as an ignored exception at interpreter shutdown
-        f.flush()
+        try:
+            yield write
+            # flushed here, so that a closed pipe is reported as an i/o
+            # error and not as an ignored exception at interpreter shutdown
+            f.flush()
+        except OSError:
+            if f is sys.__stdout__:
+                # to devnull, as in the SIGPIPE note of Python's docs: else
+                # the exit flush retries the unwritten buffer and exits 120
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, f.fileno())
+                os.close(devnull)
+            raise
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -3,7 +3,8 @@
 Stream positions are split into q blocks of 2q.  Block b owns both edge
 slots of the q cells {c_b + k*(1, g) mod q}, the coset of c_b, the b-th
 cell of the tiling shape in row-major order (c_0 = (0, 0) for the
-canonical shape), as the tiling's `coset_rows` reads it off;
+canonical shape).  So a cell's block is its coset label's block, and the
+map keeps the tiling's q-entry table `coset_blocks` for its lookups;
 InterleaverMap.runs says where in the block each edge sits.  Because the
 shape's cells lie in pairwise distinct cosets, any translate of the
 shape touches every block in exactly one cell, so a cluster of errors
@@ -26,7 +27,7 @@ from math import prod
 from typing import Iterator, NamedTuple, Sequence
 
 from .lattice import SLOT_LEFT, SLOT_TOP, Cell, Edge, TorusLattice
-from .tessellation import Grid, Polyomino, canonical_polyomino, coset_rows
+from .tessellation import Polyomino, canonical_polyomino, coset_blocks
 
 # the channel models simulate takes, named here so that naming one does not
 # load the kernel
@@ -36,9 +37,9 @@ MODEL_UNIFORM_CLUSTER = "uniform-cluster"
 
 class InterleaverMap(NamedTuple("InterleaverMap", [
         ("lattice", TorusLattice), ("shape", Polyomino),
-        ("block_grid", tuple[int, ...])])):
+        ("blocks", tuple[int, ...])])):
     """Bijection between stream positions 0..2q**2-1 and torus edges, laid
-    out by runs."""
+    out by runs; blocks[L] is the block of every cell of coset label L."""
 
     __slots__ = ()
 
@@ -67,15 +68,15 @@ class InterleaverMap(NamedTuple("InterleaverMap", [
 
     def edge_block(self, edge: Edge) -> int:
         """The block of an edge's cell, its coordinates taken mod q."""
-        q = self.lattice.q
-        return self.block_grid[(edge.y % q) * q + edge.x % q]
+        return self.blocks[self.lattice.labels([(edge.x, edge.y)])[0]]
 
     def cluster_blocks(self, ax: int, ay: int) -> list[int]:
         """The block of each shape cell's translate by (ax, ay), in shape
-        order."""
-        q = self.lattice.q
-        return [self.block_grid[(ay + py) % q * q + (ax + px) % q]
-                for px, py in self.shape.cells]
+        order: the label is linear, so L(a + p) = L(a) + L(p) mod q."""
+        q, blocks = self.lattice.q, self.blocks
+        shift = self.lattice.labels([(ax, ay)])[0]
+        return [blocks[(shift + label) % q]
+                for label in self.lattice.labels(self.shape.cells)]
 
 
 def build_interleaver(
@@ -84,22 +85,22 @@ def build_interleaver(
     """Lay the 2*q**2 stream positions onto the torus edges block by block.
 
     The shape must be a fundamental region; the default is the canonical
-    tiling shape.  Block b is the coset of the shape's cell b, so the
-    block grid is the rows of `coset_rows`, whose check is the only one a
-    shape gets: one that is not a fundamental region raises its ValueError.
+    tiling shape.  Block b is the coset of the shape's cell b, so the map
+    keeps the table of `coset_blocks`, whose check is the only one a shape
+    gets: one that is not a fundamental region raises its ValueError.
     """
     if shape is None:
         shape = canonical_polyomino(lattice)
-    cells = chain.from_iterable(coset_rows(lattice, shape))
-    return InterleaverMap(lattice, shape, tuple(Grid(lattice.q, cells)))
+    return InterleaverMap(lattice, shape, coset_blocks(lattice, shape))
 
 
 def deinterleave(mapping: InterleaverMap, errors) -> list[int]:
     """Per-block error counts for a set of errored edges, taken mod q."""
     q = mapping.lattice.q
     counts = [0] * q
-    for edge in {Edge(x % q, y % q, slot) for x, y, slot in errors}:
-        counts[mapping.edge_block(edge)] += 1
+    edges = {(x % q, y % q, slot) for x, y, slot in errors}
+    for label in mapping.lattice.labels((x, y) for x, y, _ in edges):
+        counts[mapping.blocks[label]] += 1
     return counts
 
 
@@ -120,7 +121,7 @@ def cluster_cells(lattice: TorusLattice, shape: Polyomino, anchor: Cell
 def burst_exhaustive_report(mapping: InterleaverMap
                             ) -> tuple[int, int, tuple[int, int, int] | None]:
     """Account for all q**2 anchors x 3**q one-edge-per-cell patterns of
-    a built map's shape against its block grid, as (cases, failures,
+    a built map's shape against its blocks, as (cases, failures,
     witness), by counting per anchor the patterns that overflow a block.
 
     A pattern gives each cluster cell one of {0 none, 1 top, 2 left}; the

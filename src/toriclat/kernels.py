@@ -18,18 +18,19 @@ mask acts on every trial of the block at once and a product of two
 is one such row, computed the first time a trial needs it and unpacked
 into an array('Q').
 
-The lanes leave out draws that cannot change an outcome.  At an anchor
-whose cluster puts its cells in distinct blocks (the verdict is kept per
-anchor), a block errs as often as its one cell: at most once under
-one-per-cell and at most twice under uniform-cluster, so where that
-bound is <= t the trial ends after its anchor draws.  Under
-uniform-cluster with t = 1 the trial fails exactly when it draws both
-edges of one cell, so its Fisher-Yates deck holds cell bits and it stops
-at the first bit already seen.  Every other trial leaves the lanes and
-is judged by interleaving.is_correctable on the edges trial_errors
-draws: one at t = 0, one at an anchor whose cluster meets a block twice
-(never, on the interleaver's own grid), and one that reads a packed
-draw below(n) would reject (probability below n / 2^64 per draw).
+The lanes leave out draws that cannot change an outcome.  A translate of
+the fundamental shape carries every coset label once, so when the map's
+table gives each label its own block (judged once per map) every
+cluster puts its cells in distinct blocks.  A block then errs as often
+as its one cell: at most once under one-per-cell and at most twice under
+uniform-cluster, so where that bound is <= t the trial ends after its
+anchor draws.  Under uniform-cluster with t = 1 the trial fails exactly
+when it draws both edges of one cell, so its Fisher-Yates deck holds
+cell bits and it stops at the first bit already seen.  Every other trial
+leaves the lanes and is judged by interleaving.is_correctable on the
+edges trial_errors draws: one at t = 0, one on a table that repeats a
+block (never, on a built map), and one that reads a packed draw below(n)
+would reject (probability below n / 2^64 per draw).
 tests/oracles.simulate_by_streams makes every draw through stream and is
 held equal to this kernel.
 """
@@ -56,9 +57,6 @@ LANES = 1024
 
 # the array('Q') index of each slot's low 64 bits, in native byte order
 _LOW = 0 if sys.byteorder == "little" else 1
-
-# an anchor's verdict: do its cluster's cells lie in distinct blocks?
-_UNKNOWN, _DISTINCT, _SHARED = 0, 1, 2
 
 
 def mix64(z: int) -> int:
@@ -181,12 +179,12 @@ def simulate_trials(
     # below(n) rejects raw outputs under 2^64 % n
     q_floor = (1 << 64) % q
     seed &= M64
-    # at a distinct anchor a block errs as often as its one cell: at most
-    # once (one-per-cell) or twice (uniform-cluster); with t = 1 a
-    # uniform-cluster trial fails at its first cell drawn twice
-    settled = (1 if model == MODEL_ONE_PER_CELL else 2) <= t
-    dealt = not settled and model == MODEL_UNIFORM_CLUSTER and t == 1
-    verdicts = bytearray(q * q)  # per anchor, lazily
+    # where each label has its own block, a block errs as often as its one
+    # cluster cell: at most once (one-per-cell) or twice (uniform-cluster);
+    # with t = 1 a uniform-cluster trial fails at its first cell drawn twice
+    distinct = len(set(mapping.blocks)) == q
+    settled = distinct and (1 if model == MODEL_ONE_PER_CELL else 2) <= t
+    dealt = distinct and model == MODEL_UNIFORM_CLUSTER and t == 1
     # the Fisher-Yates deck holds each edge's cell bit, edge e lying in
     # cell e >> 1; step i takes draw i + 2 from range(n), n = nedges - i
     bits = [1 << (e >> 1) for e in range(nedges)]
@@ -197,37 +195,29 @@ def simulate_trials(
     for first in range(start, start + count, LANES):
         lanes = min(LANES, start + count - first)
         draws = _Draws(seed, first, lanes)
-        # each trial's anchor ay * q + ax, -1 where below(q) rejects a draw
-        anchors = [-1 if zx < q_floor or zy < q_floor else zy % q * q + zx % q
-                   for zx, zy in zip(draws[0], draws[1])]
-        for k, anchor in enumerate(anchors):
+        for k, (zx, zy) in enumerate(zip(draws[0], draws[1])):
             ok = None  # for a trial that leaves the packed lanes
-            if anchor >= 0:
-                verdict = verdicts[anchor]
-                if verdict == _UNKNOWN:
-                    ay, ax = divmod(anchor, q)
-                    blocks = set(mapping.cluster_blocks(ax, ay))
-                    verdict = verdicts[anchor] = (
-                        _DISTINCT if len(blocks) == ncells else _SHARED)
-                if verdict == _DISTINCT and settled:
-                    ok = True
-                elif verdict == _DISTINCT and dealt:
-                    perm = bits[:]
-                    seen = 0
-                    ok = True
-                    for i, d, n, n_floor in steps:
-                        z = draws[d][k]
-                        if z < n_floor:
-                            ok = None
-                            break
-                        j = i + z % n
-                        # half a swap: slot i is never read again
-                        bit = perm[j]
-                        perm[j] = perm[i]
-                        if seen & bit:
-                            ok = False
-                            break
-                        seen |= bit
+            if zx < q_floor or zy < q_floor:
+                pass  # below(q) rejects an anchor draw
+            elif settled:
+                ok = True
+            elif dealt:
+                perm = bits[:]
+                seen = 0
+                ok = True
+                for i, d, n, n_floor in steps:
+                    z = draws[d][k]
+                    if z < n_floor:
+                        ok = None
+                        break
+                    j = i + z % n
+                    # half a swap: slot i is never read again
+                    bit = perm[j]
+                    perm[j] = perm[i]
+                    if seen & bit:
+                        ok = False
+                        break
+                    seen |= bit
             if ok is None:
                 _, edges = trial_errors(mapping, seed, first + k, model)
                 ok = is_correctable(mapping, edges, t)[0]

@@ -4,13 +4,14 @@ A polyomino with q cells tiles the torus under translation by the q
 codewords exactly when its cells lie in pairwise distinct cosets of the
 code, i.e. when their q coset labels are distinct; the lattice gives
 the labels and their step, so the lattice names the code.  Every torus
-cell then lies in the coset of one shape cell (`coset_rows`), which
-gives both the tiling and the interleaver's block grid.
+cell then lies in the coset of the shape cell with its label
+(`coset_blocks`, a q-entry table), which gives both the tiling and the
+interleaver's blocks.
 """
 
 from __future__ import annotations
 
-from itertools import chain, count, groupby, islice, repeat
+from itertools import chain, count, groupby, repeat
 from operator import add, mul, sub
 from typing import Iterable, Iterator, NamedTuple
 
@@ -113,7 +114,7 @@ def canonical_polyomino(lattice: TorusLattice) -> Polyomino:
     it is the 2x2 square plus a single cell; the extra cell attaches at
     (2, 1), since placing it at (2, 0) would put two cells a codeword
     apart ((2,0) - (0,1) = (2,-1), which marks a region anchor).  It is
-    not checked here: `coset_rows` checks every shape on its way into a
+    not checked here: `coset_blocks` checks every shape on its way into a
     tiling or an interleaver, and `verify --scope tiling` checks these.
     """
     if lattice.q == 5:
@@ -165,26 +166,20 @@ class Tiling(NamedTuple):
     cell_to_anchor: tuple[int, ...]
 
 
-def coset_rows(lattice: TorusLattice, shape: Polyomino) -> Iterator[list[int]]:
-    """Row by row, the index of the shape cell whose coset holds each cell.
-
-    This is the check every shape gets on its way into a tiling or an
-    interleaver: one that is not a fundamental region raises ValueError
-    naming two of its cells in one coset.  Along a row the label grows
-    by the lattice's step, so row y is every step-th of the label-indexed
-    owners from label y on; the rows share their ints.
-    """
+def coset_blocks(lattice: TorusLattice, shape: Polyomino) -> tuple[int, ...]:
+    """blocks[L], the index of the shape cell of label L, whose coset holds
+    every cell of label L.  Making it is the check every shape gets on its
+    way into a tiling or an interleaver: one that is not a fundamental
+    region raises ValueError naming two of its cells in one coset."""
     ok, witness = is_fundamental_region(lattice, shape)
     if not ok:
         raise ValueError(
             f"shape is not a fundamental region: cells {witness[0]} and "
             f"{witness[1]} lie in the same coset")
-    q, step = lattice.q, lattice.step
-    owner = [0] * q
+    blocks = [0] * lattice.q
     for b, label in enumerate(lattice.labels(shape.cells)):
-        owner[label] = b
-    cycle = owner * (step + 1)
-    return (cycle[y:y + step * q:step] for y in range(q))
+        blocks[label] = b
+    return tuple(blocks)
 
 
 class Grid:
@@ -209,18 +204,20 @@ def tessellate(lattice: TorusLattice, shape: Polyomino) -> Tiling:
     the tiling is invariant under the generator: the cell c + (1, g) lies
     in the next translate, and with s the lattice's step row y is row
     y - s moved one column left, every anchor less one mod q.  The
-    first s rows are computed cell by cell, each later one from the row
-    s above it, and only the last s rows are held.
+    first s rows are computed cell by cell, row y's shape cells being
+    every s-th entry of coset_blocks from label y on; each later row
+    comes from the row s above it, and only the last s rows are held.
     """
     q, step = lattice.q, lattice.step
-    rows = coset_rows(lattice, shape)  # the shape's check, before the grid
+    cycle = coset_blocks(lattice, shape) * (step + 1)  # checks the shape
     px = [x for x, _ in shape.cells]
     ks = list(range(q))  # one shared int object per anchor
     less_one = ks[-1:] + ks[:-1]  # less_one[k] = (k - 1) mod q
 
     def anchor_rows() -> Iterator[list[int]]:
-        held = [[ks[(x - px[b]) % q] for x, b in enumerate(row)]
-                for row in islice(rows, step)]
+        held = [[ks[(x - px[b]) % q]
+                 for x, b in enumerate(cycle[y:y + step * q:step])]
+                for y in range(step)]
         yield from held
         for y in range(step, q):
             before = held[y % step]

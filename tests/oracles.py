@@ -1,14 +1,15 @@
 """Brute-force reference implementations for the tests.
 
 The package derives the tiling test, the tiling, the generator set, the
-interleaver's block grid and the burst sweep from coset labels, and its
-trial kernel skips draws that cannot change a trial's outcome.  These
-functions get the same answers the direct way, by enumeration or by
-making every draw, so the tests can hold the fast paths to them.  The
-renderers' cell-by-cell loops are kept here too, as the reference for
-the row-at-a-time ones, and the walk over edge neighbours that the
-polyomino's run-based connectivity check replaced.  The hypothesis settings and shape strategy
-shared by the property tests live here as well.
+interleaver's q-entry block table and the burst sweep from coset labels,
+and its trial kernel skips draws that cannot change a trial's outcome.
+These functions get the same answers the direct way, by enumeration, by
+a per-cell block grid or by making every draw, so the tests can hold the
+fast paths to them.  The renderers' cell-by-cell loops are kept here
+too, as the reference for the row-at-a-time ones, and the walk over edge
+neighbours that the polyomino's run-based connectivity check replaced.
+The hypothesis settings and shape strategy shared by the property tests
+live here as well.
 """
 
 from itertools import product
@@ -129,6 +130,14 @@ def block_grid_by_labels(lattice, shape):
     return tuple(block_of_label[(y - g * x) % q] for x, y in lattice.cells())
 
 
+def grid_of(mapping):
+    """The per-cell block grid, grid[y*q + x], of a map's q-entry table:
+    each cell's block is the block of its label (y - g*x) mod q."""
+    q, g = mapping.lattice.q, mapping.lattice.g
+    return tuple(mapping.blocks[(y - g * x) % q]
+                 for y in range(q) for x in range(q))
+
+
 def generates_same_code(lattice, vec):
     """True when the mod-q multiples of vec give exactly the code's cells."""
     q = lattice.q
@@ -196,7 +205,7 @@ def simulate_by_streams(mapping, seed, start, count, model, t=1,
     toriclat.kernels.simulate_trials.
     """
     q, cells, block_grid = (mapping.lattice.q, mapping.shape.cells,
-                            mapping.block_grid)
+                            grid_of(mapping))
     ncells = len(cells)
     nedges = 2 * ncells
     correctable = 0

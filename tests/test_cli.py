@@ -661,7 +661,7 @@ def _not_a_region_at(bad_q):
 
 def test_verify_reports_a_map_that_cannot_be_built_and_keeps_going(
         capsys, monkeypatch):
-    # build_interleaver raises ValueError in coset_rows at q = 7; the
+    # build_interleaver raises ValueError in coset_blocks at q = 7; the
     # lines already collected and the other q's sweeps still print
     from toriclat import tessellation
     assert _verify_with(
@@ -801,20 +801,40 @@ def test_closed_stdout_pipe_during_the_ascii_grid_is_an_io_error(unbuffered):
         ["tessellate", "--q", "301"], b"  0 ", unbuffered))
 
 
-@pytest.mark.parametrize("unbuffered", [False, True])
-def test_stdout_pipe_closed_before_a_short_output_is_an_io_error(unbuffered):
-    # the map (3.6 kB) fits in the stdout buffer, so with buffering on
-    # only the flush meets the closed pipe
+def _write_into_a_closed_pipe(argv, unbuffered):
+    """Run the command with stdout the write end of a pipe whose reader
+    has already gone; return the exit code and stderr."""
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "toriclat", "interleave", "--q", "7"],
+            [sys.executable, "-m", "toriclat", *argv],
             stdout=write_end, stderr=subprocess.PIPE,
             env=_child_env(unbuffered), timeout=60)
     finally:
         os.close(write_end)
-    _assert_one_io_error_line(proc.returncode, proc.stderr.decode())
+    return proc.returncode, proc.stderr.decode()
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_stdout_pipe_closed_before_a_short_output_is_an_io_error(unbuffered):
+    # the map (3.6 kB) fits in the stdout buffer, so with buffering on
+    # only the flush meets the closed pipe
+    _assert_one_io_error_line(*_write_into_a_closed_pipe(
+        ["interleave", "--q", "7"], unbuffered))
+
+
+@pytest.mark.parametrize("argv", [
+    ["codewords", "--q", "5"],
+    ["verify", "--q-max", "9"],
+    ["interleave", "--q", "101"],
+    ["tessellate", "--q", "101", "--format", "svg"],
+], ids=["codewords", "verify", "interleave", "tessellate-svg"])
+def test_a_buffered_stdout_reports_a_closed_pipe_once(argv):
+    # the bytes a failed write leaves in stdout's buffer are retried by
+    # the flush at interpreter shutdown, which must not fail again: that
+    # would print an ignored exception and exit 120
+    _assert_one_io_error_line(*_write_into_a_closed_pipe(argv, False))
 
 
 CHILD_ADDRESS_SPACE = 256 << 20  # bytes
@@ -826,13 +846,29 @@ def _limit_address_space():
                        (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
 
 
-def _assert_out_of_memory_exit(argv):
-    proc = subprocess.run(
+def _run_in_limited_memory(argv):
+    return subprocess.run(
         [sys.executable, "-m", "toriclat", *argv], capture_output=True,
         text=True, env=_child_env(False), preexec_fn=_limit_address_space,
         timeout=120)
+
+
+def _assert_out_of_memory_exit(argv):
+    proc = _run_in_limited_memory(argv)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "error: out of memory; the input is too large\n"
+
+
+@pytest.mark.parametrize("model", [kernels.MODEL_ONE_PER_CELL,
+                                   kernels.MODEL_UNIFORM_CLUSTER])
+def test_the_interleaver_map_grows_with_q_not_q_squared(model):
+    # the map keeps one block per coset label, so q = 10001 fits in the
+    # limit that a q**2 grid of 10**8 entries would not
+    proc = _run_in_limited_memory(["simulate", "--q", "10001", "--trials",
+                                   "1", "--model", model, "--format", "csv"])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith(f"q,model,seed,trials,correctable,"
+                                  f"failures\n10001,{model},0,1,")
 
 
 @pytest.mark.parametrize("argv", [

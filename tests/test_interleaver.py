@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 
 from oracles import (PROPERTY, block_grid_by_cover, block_grid_by_labels,
-                     odd_q_and_polyomino)
+                     grid_of, odd_q_and_polyomino)
 from toriclat import kernels
 from toriclat.cli import _map_json
 from toriclat.interleaving import (MODEL_ONE_PER_CELL, MODEL_UNIFORM_CLUSTER,
@@ -31,7 +31,7 @@ def test_stream_placement_q5():
 def test_block_anchors_are_the_shape_cells_starting_at_origin():
     mapping = build_interleaver(TorusLattice(7))
     assert mapping.shape.cells[0] == (0, 0)
-    assert [mapping.block_grid[y * 7 + x]
+    assert [grid_of(mapping)[y * 7 + x]
             for x, y in mapping.shape.cells] == list(range(7))
 
 
@@ -59,8 +59,9 @@ def test_both_slots_of_a_cell_share_a_block():
 def test_every_cluster_translate_hits_all_blocks_once(q):
     lat = TorusLattice(q)
     mapping = build_interleaver(lat)
+    grid = grid_of(mapping)
     for anchor in lat.cells():
-        blocks = [mapping.block_grid[cy * q + cx]
+        blocks = [grid[cy * q + cx]
                   for cx, cy in cluster_cells(lat, mapping.shape, anchor)]
         assert sorted(blocks) == list(range(q))
 
@@ -76,17 +77,28 @@ def test_build_rejects_non_fundamental_shapes():
         build_interleaver(TorusLattice(5), tetromino)
 
 
-@pytest.mark.parametrize("q", [*range(5, 42, 2), 301])
+def _assert_the_table_gives_each_shape_cell_its_label(mapping):
+    # the map keeps q entries, a permutation of the blocks, and the label
+    # (y - g*x) mod q of shape cell b is block b's entry
+    q, g = mapping.lattice.q, mapping.lattice.g
+    assert sorted(mapping.blocks) == list(range(q))
+    assert [mapping.blocks[(y - g * x) % q]
+            for x, y in mapping.shape.cells] == list(range(q))
+
+
+@pytest.mark.parametrize("q", [*range(5, 62, 2), 301])
 def test_block_grid_matches_the_cover_oracle_on_canonical_shapes(q):
     lat = TorusLattice(q)
-    assert build_interleaver(lat).block_grid == \
+    mapping = build_interleaver(lat)
+    assert grid_of(mapping) == \
         block_grid_by_cover(lat, canonical_polyomino(lat))
+    _assert_the_table_gives_each_shape_cell_its_label(mapping)
 
 
 def test_sliced_block_grid_matches_the_label_built_grid_at_large_q():
     lat = TorusLattice(1001)
     shape = canonical_polyomino(lat)
-    assert build_interleaver(lat, shape).block_grid == \
+    assert grid_of(build_interleaver(lat, shape)) == \
         block_grid_by_labels(lat, shape)
 
 
@@ -105,7 +117,8 @@ def test_block_grid_matches_the_cover_oracle_on_random_shapes(q_and_shape):
         assert str(got.value) == str(tiling.value)
     else:
         mapping = build_interleaver(lat, shape)
-        assert mapping.block_grid == expected
+        assert grid_of(mapping) == expected
+        _assert_the_table_gives_each_shape_cell_its_label(mapping)
         _assert_runs_follow_the_coset_label(mapping)
 
 

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 import oracles
 from oracles import (PROPERTY, block_grid_by_cover, burst_by_enumeration,
-                     simulate_by_streams, unmix64)
+                     grid_of, simulate_by_streams, unmix64)
 from toriclat import interleaving, kernels
 from toriclat.interleaving import (build_interleaver, burst_exhaustive_report,
                                    cluster_cells)
@@ -53,7 +53,7 @@ def test_negative_seed_masks_like_two_complement():
 
 def _interleaver_args(q):
     mapping = build_interleaver(TorusLattice(q))
-    return q, mapping.shape.cells, mapping.block_grid
+    return q, mapping.shape.cells, grid_of(mapping)
 
 
 def test_chunked_runs_reproduce_the_whole_run():
@@ -119,24 +119,23 @@ def test_burst_kernel_agrees_with_the_public_api_enumeration():
         (6075, 0, None)
 
 
-def _corrupted_grid(q):
-    # relabel so two different cells of the cluster at (0,0) share block 0
-    q, cells, grid = _interleaver_args(q)
-    bad_grid = list(grid)
-    bad_grid[cells[1][1] * q + cells[1][0]] = \
-        bad_grid[cells[0][1] * q + cells[0][0]]
-    return cells, bad_grid
-
-
 def _corrupted_map(q):
-    _, bad_grid = _corrupted_grid(q)
-    return build_interleaver(TorusLattice(q))._replace(
-        block_grid=tuple(bad_grid))
+    # the label of shape cell 1 goes to block 0, so every cluster meets
+    # block 0 twice: in its cells 0 and 1 at the anchor (0, 0)
+    mapping = build_interleaver(TorusLattice(q))
+    blocks = list(mapping.blocks)
+    blocks[mapping.lattice.labels(mapping.shape.cells[1:2])[0]] = 0
+    return mapping._replace(blocks=tuple(blocks))
+
+
+def _corrupted_grid(q):
+    mapping = _corrupted_map(q)
+    return mapping.shape.cells, grid_of(mapping)
 
 
 @pytest.mark.parametrize("q", range(5, 42, 2))
 def test_every_anchor_of_the_interleavers_map_meets_each_block_once(q):
-    # the fact the kernel's per-anchor verdict rests on
+    # the fact the kernel's one verdict per map stands for
     mapping = build_interleaver(TorusLattice(q))
     for ay in range(q):
         for ax in range(q):
@@ -164,8 +163,7 @@ def test_burst_kernel_agrees_with_the_api_on_a_failing_layout():
     # corrupt the block map so collisions exist, then compare routes
     q = 5
     cells, bad_grid = _corrupted_grid(q)
-    mapping = build_interleaver(TorusLattice(q))
-    broken = mapping._replace(block_grid=tuple(bad_grid))
+    broken = _corrupted_map(q)
     reference = _burst_by_is_correctable(q, broken.shape, broken)
     fast = burst_exhaustive_report(broken)
     assert fast == burst_by_enumeration(q, cells, bad_grid) == reference
@@ -174,10 +172,7 @@ def test_burst_kernel_agrees_with_the_api_on_a_failing_layout():
 
 def test_burst_witness_reports_the_failing_case():
     q = 5
-    _, bad_grid = _corrupted_grid(q)
-    mapping = build_interleaver(TorusLattice(q))
-    cases, failures, witness = burst_exhaustive_report(
-        mapping._replace(block_grid=tuple(bad_grid)))
+    cases, failures, witness = burst_exhaustive_report(_corrupted_map(q))
     assert cases == 25 * 3 ** 5
     assert failures > 0
     # both cells collide at anchor (0,0); the first failing pattern errs
@@ -192,15 +187,16 @@ def test_burst_counts_match_the_enumeration_oracle_at_q7():
 
 
 @PROPERTY
-@given(st.lists(st.tuples(st.integers(0, 24), st.integers(0, 4)),
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
                 min_size=1, max_size=4))
 def test_burst_counts_match_the_oracle_on_corrupted_grids(edits):
     mapping = build_interleaver(TorusLattice(5))
-    grid = list(mapping.block_grid)
-    for index, block in edits:
-        grid[index] = block
-    assert burst_exhaustive_report(mapping._replace(block_grid=tuple(grid))) \
-        == burst_by_enumeration(5, mapping.shape.cells, grid)
+    blocks = list(mapping.blocks)
+    for label, block in edits:
+        blocks[label] = block
+    mapping = mapping._replace(blocks=tuple(blocks))
+    assert burst_exhaustive_report(mapping) == \
+        burst_by_enumeration(5, mapping.shape.cells, grid_of(mapping))
 
 
 def test_unmix64_inverts_mix64():
@@ -234,9 +230,9 @@ def _outcome_without_rejection(monkeypatch, args):
         return simulate_by_streams(*args)
 
 
-# (q, block grid, model, draw): the anchor's x; the second Fisher-Yates
-# draw; and a cell's choice under one-per-cell, which counts only at an
-# anchor whose cluster meets a block twice.  Each draw decides its
+# (q, block table, model, draw): the anchor's x; the second Fisher-Yates
+# draw; and a cell's choice under one-per-cell, which counts only on a
+# table whose clusters meet a block twice.  Each draw decides its
 # trial's outcome, which the test checks.
 REJECTION_CASES = {
     "anchor": (5, "corrupted", kernels.MODEL_ONE_PER_CELL, 0),
@@ -266,6 +262,28 @@ def test_a_rejected_draw_reruns_its_trial_through_the_stream(
     assert kernels.simulate_trials(*window) == simulate_by_streams(*window)
 
 
+@pytest.mark.parametrize("d", [0, 1])
+def test_a_rejected_anchor_draw_leaves_the_lanes(monkeypatch, d):
+    # on a built map every other trial is settled or dealt on the lanes,
+    # so only the rejected anchor draw sends this one to trial_errors
+    mapping = build_interleaver(TorusLattice(5))
+    trial = 1000
+    seed = _seed_drawing(0, trial, d)
+    calls = []
+    real = kernels.trial_errors
+
+    def counting(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "trial_errors", counting)
+    for model in (kernels.MODEL_ONE_PER_CELL, kernels.MODEL_UNIFORM_CLUSTER):
+        window = (mapping, seed, trial - 3, 8, model, 1, 8)
+        assert kernels.simulate_trials(*window) == \
+            simulate_by_streams(*window)
+    assert calls == [trial, trial]
+
+
 @pytest.mark.parametrize("start", [0, 2 ** 64 - 3, -3])
 def test_packed_draws_are_the_streams_draws_lane_for_lane(start):
     draws = kernels._Draws(99, start, 40)
@@ -278,12 +296,11 @@ def test_packed_draws_are_the_streams_draws_lane_for_lane(start):
 @pytest.mark.parametrize("model,t", [
     pytest.param(kernels.MODEL_ONE_PER_CELL, 1, id="one-per-cell"),
     pytest.param(kernels.MODEL_UNIFORM_CLUSTER, 1, id="uniform-cluster"),
-    # every one-per-cell anchor is unsafe at t = 0, so each trial goes
-    # through kernels.trial_errors
+    # at t = 0 every trial goes through kernels.trial_errors
     pytest.param(kernels.MODEL_ONE_PER_CELL, 0, id="one-per-cell-t0"),
     pytest.param(kernels.MODEL_UNIFORM_CLUSTER, 0, id="uniform-cluster-t0"),
-    # at t = 2 a trial at a distinct anchor passes without drawing its
-    # cells, and one at the corrupted anchors goes through trial_errors
+    # at t = 2 a trial on the built table passes without drawing its
+    # cells, and one on the corrupted table goes through trial_errors
     pytest.param(kernels.MODEL_ONE_PER_CELL, 2, id="one-per-cell-t2"),
     pytest.param(kernels.MODEL_UNIFORM_CLUSTER, 2, id="uniform-cluster-t2"),
 ])
@@ -298,13 +315,16 @@ def test_packed_draws_are_the_streams_draws_lane_for_lane(start):
 ])
 def test_the_kernel_matches_the_oracle_across_lane_blocks(model, t, start,
                                                           count):
-    args = (_corrupted_map(7), 11, start, count, model, t, count)
-    assert kernels.simulate_trials(*args) == simulate_by_streams(*args)
+    # the built table keeps its trials on the lanes, the corrupted one
+    # sends every trial through trial_errors
+    for mapping in (build_interleaver(TorusLattice(7)), _corrupted_map(7)):
+        args = (mapping, 11, start, count, model, t, count)
+        assert kernels.simulate_trials(*args) == simulate_by_streams(*args)
 
 
 def test_max_record_fills_across_a_block_boundary():
-    # one-per-cell fails only where the cluster meets the corrupted cell's
-    # block twice, about 1% of trials at q = 41
+    # one-per-cell fails where both cluster cells in block 0 are errored,
+    # 4 in 9 trials
     mapping = _corrupted_map(41)
     model = kernels.MODEL_ONE_PER_CELL
     first_block = simulate_by_streams(mapping, 5, 3, kernels.LANES,
@@ -345,16 +365,16 @@ def test_the_benchmark_sized_run_is_pinned_trial_for_trial():
 
 @st.composite
 def kernel_arguments(draw):
-    """simulate_trials arguments on a canonical or edited block grid."""
+    """simulate_trials arguments on a canonical or edited block table."""
     q = draw(st.sampled_from(range(5, 42, 2)))
     mapping = build_interleaver(TorusLattice(q))
-    grid = list(mapping.block_grid)
-    edits = draw(st.lists(st.tuples(st.integers(0, q * q - 1),
+    blocks = list(mapping.blocks)
+    edits = draw(st.lists(st.tuples(st.integers(0, q - 1),
                                     st.integers(0, q - 1)),
-                          max_size=3 * q))
-    for index, block in edits:
-        grid[index] = block
-    return (mapping._replace(block_grid=tuple(grid)),
+                          max_size=3))
+    for label, block in edits:
+        blocks[label] = block
+    return (mapping._replace(blocks=tuple(blocks)),
             draw(st.integers(0, M64)),
             draw(st.integers(0, 2 ** 40)), draw(st.integers(0, 300)),
             draw(st.sampled_from((kernels.MODEL_ONE_PER_CELL,
@@ -369,7 +389,7 @@ def test_pure_kernel_matches_the_stream_oracle(args):
 
 
 def test_safe_anchor_skip_keeps_the_failures_of_a_corrupted_grid():
-    # the cluster at (0, 0) meets one block twice, so one-per-cell can fail
+    # every cluster meets block 0 twice, so one-per-cell can fail
     args = (_corrupted_map(7), 3, 0, 2000, kernels.MODEL_ONE_PER_CELL, 1,
             2000)
     result = kernels.simulate_trials(*args)
@@ -410,10 +430,12 @@ def test_one_per_cell_never_fails_on_the_canonical_grid(q):
 @pytest.mark.parametrize("q", [5, 13, 41])
 def test_the_interleavers_own_grid_never_leaves_the_lanes(monkeypatch, q,
                                                           model):
-    # every anchor of the canonical grid puts its cells in distinct
-    # blocks, so at t = 1 no trial needs kernels.trial_errors; a verdict
-    # that sent them there would keep every result and run ~5x slower
+    # the canonical table gives each label its own block, so at t = 1 no
+    # trial needs kernels.trial_errors; a verdict that sent them there
+    # would keep every result and run ~5x slower.  The verdict is the
+    # map's, so no anchor's cluster is looked up either
     mapping = build_interleaver(TorusLattice(q))
+    expected = kernels.simulate_trials(mapping, 8, 0, 3000, model)
     calls = []
     real = kernels.trial_errors
 
@@ -421,7 +443,12 @@ def test_the_interleavers_own_grid_never_leaves_the_lanes(monkeypatch, q,
         calls.append(args)
         return real(*args)
 
+    def per_anchor(*args):
+        raise AssertionError("the kernel looked up a cluster's blocks")
+
     monkeypatch.setattr(kernels, "trial_errors", counting)
+    monkeypatch.setattr(interleaving.InterleaverMap, "cluster_blocks",
+                        per_anchor)
     result = kernels.simulate_trials(mapping, 8, 0, 3000, model)
-    assert sum(result[:2]) == 3000
+    assert result == expected and sum(result[:2]) == 3000
     assert calls == []
