@@ -18,19 +18,20 @@ mask acts on every trial of the block at once and a product of two
 is one such row, computed the first time a trial needs it and unpacked
 into an array('Q').
 
-The lanes leave out draws that cannot change an outcome.  A translate of
-the fundamental shape carries every coset label once, so when the map's
-table gives each label its own block (judged once per map) every
+The kernel leaves out draws that cannot change an outcome.  A translate
+of the fundamental shape carries every coset label once, so when the
+map's table gives each label its own block (judged once per map) every
 cluster puts its cells in distinct blocks.  A block then errs as often
 as its one cell: at most once under one-per-cell and at most twice under
-uniform-cluster, so where that bound is <= t the trial ends after its
-anchor draws.  Under uniform-cluster with t = 1 the trial fails exactly
-when it draws both edges of one cell, so its Fisher-Yates deck holds
-cell bits and it stops at the first bit already seen.  Every other trial
-leaves the lanes and is judged by interleaving.is_correctable on the
-edges trial_errors draws: one at t = 0, one on a table that repeats a
-block (never, on a built map), and one that reads a packed draw below(n)
-would reject (probability below n / 2^64 per draw).
+uniform-cluster, so where that bound is <= t no trial can fail and the
+run returns its count without drawing.  The lanes then serve one case,
+uniform-cluster with t = 1, where a trial fails exactly when it draws
+both edges of one cell: its Fisher-Yates deck holds cell bits and it
+stops at the first bit already seen.  Every other trial leaves the lanes
+and is judged by interleaving.is_correctable on the edges trial_errors
+draws: one at t = 0, one on a table that repeats a block (never, on a
+built map), and one that reads a packed draw below(n) would reject
+(probability below n / 2^64 per draw).
 tests/oracles.simulate_by_streams makes every draw through stream and is
 held equal to this kernel.
 """
@@ -174,16 +175,20 @@ def simulate_trials(
         raise ValueError(f"unknown model {model!r}")
     if t < 0:
         raise ValueError("t must be >= 0")
+    if count < 0:
+        raise ValueError("count must be >= 0")
     q, ncells = mapping.lattice.q, len(mapping.shape.cells)
     nedges = 2 * ncells
     # below(n) rejects raw outputs under 2^64 % n
     q_floor = (1 << 64) % q
     seed &= M64
     # where each label has its own block, a block errs as often as its one
-    # cluster cell: at most once (one-per-cell) or twice (uniform-cluster);
-    # with t = 1 a uniform-cluster trial fails at its first cell drawn twice
+    # cluster cell: at most once (one-per-cell) or twice (uniform-cluster),
+    # so where that bound is <= t no trial can fail; with t = 1 a
+    # uniform-cluster trial fails at its first cell drawn twice
     distinct = len(set(mapping.blocks)) == q
-    settled = distinct and (1 if model == MODEL_ONE_PER_CELL else 2) <= t
+    if distinct and (1 if model == MODEL_ONE_PER_CELL else 2) <= t:
+        return count, 0, []
     dealt = distinct and model == MODEL_UNIFORM_CLUSTER and t == 1
     # the Fisher-Yates deck holds each edge's cell bit, edge e lying in
     # cell e >> 1; step i takes draw i + 2 from range(n), n = nedges - i
@@ -197,11 +202,7 @@ def simulate_trials(
         draws = _Draws(seed, first, lanes)
         for k, (zx, zy) in enumerate(zip(draws[0], draws[1])):
             ok = None  # for a trial that leaves the packed lanes
-            if zx < q_floor or zy < q_floor:
-                pass  # below(q) rejects an anchor draw
-            elif settled:
-                ok = True
-            elif dealt:
+            if dealt and zx >= q_floor and zy >= q_floor:
                 perm = bits[:]
                 seen = 0
                 ok = True

@@ -133,14 +133,17 @@ def test_criterion_08_burst_guarantee():
     exhaustive_elapsed = time.perf_counter() - start
     ok = ok and exhaustive_elapsed < 60.0
     for q in (11, 13):
+        ok = ok and burst_exhaustive_report(
+            build_interleaver(TorusLattice(q))) == (q * q * 3 ** q, 0, None)
         stats = simulate(TorusLattice(q), trials=100_000, seed=20260808,
                          model=MODEL_ONE_PER_CELL)
         ok = ok and stats.failures == 0
     elapsed = time.perf_counter() - start
     _report(8, ok,
             f"exhaustive q^2*3^q sweeps clean for q=5,7,9 "
-            f"({exhaustive_elapsed:.2f}s) and 1e5 seeded trials clean for "
-            f"q=11,13 ({elapsed:.2f}s total)")
+            f"({exhaustive_elapsed:.2f}s), and for q=11,13 the closed-form "
+            f"q^2*3^q count clean and 1e5 seeded trials clean "
+            f"({elapsed:.2f}s total)")
 
 
 def test_criterion_09_negative_control():

@@ -264,8 +264,9 @@ def test_a_rejected_draw_reruns_its_trial_through_the_stream(
 
 @pytest.mark.parametrize("d", [0, 1])
 def test_a_rejected_anchor_draw_leaves_the_lanes(monkeypatch, d):
-    # on a built map every other trial is settled or dealt on the lanes,
-    # so only the rejected anchor draw sends this one to trial_errors
+    # on a built map a one-per-cell run at t = 1 returns before it draws,
+    # and every other uniform-cluster trial is dealt on the lanes, so
+    # only the rejected anchor draw sends this one to trial_errors
     mapping = build_interleaver(TorusLattice(5))
     trial = 1000
     seed = _seed_drawing(0, trial, d)
@@ -281,7 +282,7 @@ def test_a_rejected_anchor_draw_leaves_the_lanes(monkeypatch, d):
         window = (mapping, seed, trial - 3, 8, model, 1, 8)
         assert kernels.simulate_trials(*window) == \
             simulate_by_streams(*window)
-    assert calls == [trial, trial]
+    assert calls == [trial]
 
 
 @pytest.mark.parametrize("start", [0, 2 ** 64 - 3, -3])
@@ -397,15 +398,23 @@ def test_safe_anchor_skip_keeps_the_failures_of_a_corrupted_grid():
     assert result == simulate_by_streams(*args)
 
 
-@pytest.mark.parametrize("model,t", [
-    ("bogus", 1), (kernels.MODEL_ONE_PER_CELL, -1),
-    (kernels.MODEL_UNIFORM_CLUSTER, -1)])
-def test_pure_kernel_rejects_unknown_models_and_negative_t(model, t):
+@pytest.mark.parametrize("model,t,count", [
+    pytest.param("bogus", 1, 1, id="bogus-1"),
+    pytest.param(kernels.MODEL_ONE_PER_CELL, -1, 1, id="one-per-cell--1"),
+    pytest.param(kernels.MODEL_UNIFORM_CLUSTER, -1, 1,
+                 id="uniform-cluster--1"),
+    # a negative count would report a negative number of failures
+    pytest.param(kernels.MODEL_ONE_PER_CELL, 1, -1,
+                 id="one-per-cell-count--1"),
+    pytest.param(kernels.MODEL_UNIFORM_CLUSTER, 1, -1,
+                 id="uniform-cluster-count--1"),
+])
+def test_pure_kernel_rejects_unknown_models_and_negative_t(model, t, count):
     # with t < 0 even an error-free trial would fail, which the early
     # exits do not model
     mapping = build_interleaver(TorusLattice(5))
     with pytest.raises(ValueError):
-        kernels.simulate_trials(mapping, 1, 0, 1, model, t)
+        kernels.simulate_trials(mapping, 1, 0, count, model, t)
 
 
 @pytest.mark.parametrize("model", ["bogus", "one_per_cell"])
@@ -452,3 +461,20 @@ def test_the_interleavers_own_grid_never_leaves_the_lanes(monkeypatch, q,
     result = kernels.simulate_trials(mapping, 8, 0, 3000, model)
     assert result == expected and sum(result[:2]) == 3000
     assert calls == []
+
+    # where a block's bound (1 under one-per-cell, 2 under uniform-cluster)
+    # is <= t no trial can fail, so the run returns its count before it
+    # draws, also over trial 1000 whose anchor draw the second seed rejects
+    def draw(*args):
+        raise AssertionError("a run no trial can fail drew")
+
+    monkeypatch.setattr(kernels, "_Draws", draw)
+    monkeypatch.setattr(kernels, "trial_errors", draw)
+    bound = 1 if model == kernels.MODEL_ONE_PER_CELL else 2
+    for t in (bound, bound + 1):
+        for count in (1, 2 * kernels.LANES + 5):
+            for start in (0, -3, 2 ** 64 - 3):
+                for seed in (8, _seed_drawing(0, 1000, 0)):
+                    assert kernels.simulate_trials(
+                        mapping, seed, start, count, model, t) == \
+                        (count, 0, [])
