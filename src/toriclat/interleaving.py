@@ -70,14 +70,6 @@ class InterleaverMap(NamedTuple("InterleaverMap", [
         """The block of an edge's cell, its coordinates taken mod q."""
         return self.blocks[self.lattice.labels([(edge.x, edge.y)])[0]]
 
-    def cluster_blocks(self, ax: int, ay: int) -> list[int]:
-        """The block of each shape cell's translate by (ax, ay), in shape
-        order: the label is linear, so L(a + p) = L(a) + L(p) mod q."""
-        q, blocks = self.lattice.q, self.blocks
-        shift = self.lattice.labels([(ax, ay)])[0]
-        return [blocks[(shift + label) % q]
-                for label in self.lattice.labels(self.shape.cells)]
-
 
 def build_interleaver(
     lattice: TorusLattice, shape: Polyomino | None = None
@@ -122,33 +114,35 @@ def burst_exhaustive_report(mapping: InterleaverMap
                             ) -> tuple[int, int, tuple[int, int, int] | None]:
     """Account for all q**2 anchors x 3**q one-edge-per-cell patterns of
     a built map's shape against its blocks, as (cases, failures,
-    witness), by counting per anchor the patterns that overflow a block.
+    witness), by one product over the map's table.
 
     A pattern gives each cluster cell one of {0 none, 1 top, 2 left}; the
-    patterns are numbered like itertools.product((0, 1, 2), repeat=n),
+    patterns are numbered like itertools.product((0, 1, 2), repeat=q),
     cell 0 being the most significant base-3 digit.  A pattern fails when
     two errored cells share a block, so with m_b cluster cells in block b
-    exactly prod(1 + 2*m_b) patterns pass: O(q) per anchor, O(q**3) in
-    all.  The first failing pattern errs the top edges of just the
-    colliding pair (i, j) that minimises 3**(n-1-i) + 3**(n-1-j).  The
-    witness is (ax, ay, pattern_index) at the first failing anchor in
-    row-major order, or None.
+    exactly prod(1 + 2*m_b) patterns pass.  A built map's shape is a
+    fundamental region, so its cells carry the q labels once each, and as
+    the label is linear, L(a + p) = L(a) + L(p) mod q, so does its
+    translate at every anchor a: every anchor's m_b is the number of
+    table entries naming block b, and every anchor fails alike.  The
+    first failing anchor in row-major order is therefore (0, 0), where
+    cell i lies in block blocks[L(cell i)], and the first failing pattern
+    there errs the top edges of just the colliding pair (i, j) that
+    minimises 3**(q-1-i) + 3**(q-1-j).  The witness is (0, 0,
+    pattern_index), or None when every pattern passes.
     """
-    q, n = mapping.lattice.q, len(mapping.shape.cells)
-    total = 3 ** n
-    failures = 0
+    lattice, table = mapping.lattice, mapping.blocks
+    q = lattice.q
+    total = 3 ** q
+    failing = total - prod(1 + 2 * m for m in Counter(table).values())
     witness: tuple[int, int, int] | None = None
-    for ay in range(q):
-        for ax in range(q):
-            blocks = mapping.cluster_blocks(ax, ay)
-            passing = prod(1 + 2 * m for m in Counter(blocks).values())
-            failures += total - passing
-            if passing < total and witness is None:
-                witness = (ax, ay, min(
-                    3 ** (n - 1 - i) + 3 ** (n - 1 - j)
-                    for i, j in combinations(range(n), 2)
-                    if blocks[i] == blocks[j]))
-    return q * q * total, failures, witness
+    if failing:
+        blocks = [table[label]
+                  for label in lattice.labels(mapping.shape.cells)]
+        witness = (0, 0, min(3 ** (q - 1 - i) + 3 ** (q - 1 - j)
+                             for i, j in combinations(range(q), 2)
+                             if blocks[i] == blocks[j]))
+    return q * q * total, q * q * failing, witness
 
 
 def double_slot_uncorrectable_exhaustive(mapping: InterleaverMap) -> bool:
@@ -156,18 +150,19 @@ def double_slot_uncorrectable_exhaustive(mapping: InterleaverMap) -> bool:
     cluster cell must be reported uncorrectable, for every anchor and
     every cell of the map's shape.
 
-    This holds for untyped errors only, where a block fails on more than
-    t = 1 errored edges.  Decoded as a CSS code, a cell with both edges
-    errored can still pass, for instance when one edge takes an X error
-    and the other a Z error."""
-    lattice = mapping.lattice
-    for anchor in lattice.cells():
-        for cell in cluster_cells(lattice, mapping.shape, anchor):
-            errors = {Edge(cell[0], cell[1], SLOT_TOP),
-                      Edge(cell[0], cell[1], SLOT_LEFT)}
-            ok, _ = is_correctable(mapping, errors)
-            if ok:
-                return False
+    The translates of the shape cover every torus cell (each cell q
+    times, once per shape cell), and a doubled cell's verdict depends on
+    the cell alone, not on the anchor that put it in the cluster, so one
+    pass over the q**2 cells covers every anchor.  This holds for untyped
+    errors only, where a block fails on more than t = 1 errored edges.
+    Decoded as a CSS code, a cell with both edges errored can still pass,
+    for instance when one edge takes an X error and the other a Z
+    error."""
+    for x, y in mapping.lattice.cells():
+        ok, _ = is_correctable(mapping, {Edge(x, y, SLOT_TOP),
+                                         Edge(x, y, SLOT_LEFT)})
+        if ok:
+            return False
     return True
 
 

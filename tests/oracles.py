@@ -4,15 +4,18 @@ The package derives the tiling test, the tiling, the generator set, the
 interleaver's q-entry block table and the burst sweep from coset labels,
 and its trial kernel skips draws that cannot change a trial's outcome.
 These functions get the same answers the direct way, by enumeration, by
-a per-cell block grid or by making every draw, so the tests can hold the
-fast paths to them.  The renderers' cell-by-cell loops are kept here
-too, as the reference for the row-at-a-time ones, and the walk over edge
-neighbours that the polyomino's run-based connectivity check replaced.
+a per-cell block grid, anchor by anchor or by making every draw, so the
+tests can hold the fast paths to them.  The renderers' cell-by-cell
+loops are kept here too, as the reference for the row-at-a-time ones,
+and the walk over edge neighbours that the polyomino's run-based
+connectivity check replaced.
 The hypothesis settings and shape strategy shared by the property tests
 live here as well.
 """
 
-from itertools import product
+from collections import Counter
+from itertools import combinations, product
+from math import prod
 
 from hypothesis import assume, settings, strategies as st
 
@@ -154,6 +157,38 @@ def generators_by_span(lattice):
             if c % q and d % q and generates_same_code(lattice, (c, d)):
                 found.add((c, d))
     return frozenset(found)
+
+
+def cluster_blocks(mapping, ax, ay):
+    """The block of each shape cell's translate by (ax, ay), in shape
+    order: the label is linear, so L(a + p) = L(a) + L(p) mod q."""
+    q, blocks = mapping.lattice.q, mapping.blocks
+    shift = mapping.lattice.labels([(ax, ay)])[0]
+    return [blocks[(shift + label) % q]
+            for label in mapping.lattice.labels(mapping.shape.cells)]
+
+
+def burst_by_anchors(mapping):
+    """burst_exhaustive_report's count taken anchor by anchor: prod(1 +
+    2*m_b) patterns pass at an anchor whose cluster has m_b cells in
+    block b, and the witness is the first failing anchor in row-major
+    order with its least pattern index, that of the colliding pair (i, j)
+    minimising 3**(n-1-i) + 3**(n-1-j)."""
+    q, n = mapping.lattice.q, len(mapping.shape.cells)
+    total = 3 ** n
+    failures = 0
+    witness = None
+    for ay in range(q):
+        for ax in range(q):
+            blocks = cluster_blocks(mapping, ax, ay)
+            passing = prod(1 + 2 * m for m in Counter(blocks).values())
+            failures += total - passing
+            if passing < total and witness is None:
+                witness = (ax, ay, min(
+                    3 ** (n - 1 - i) + 3 ** (n - 1 - j)
+                    for i, j in combinations(range(n), 2)
+                    if blocks[i] == blocks[j]))
+    return q * q * total, failures, witness
 
 
 def burst_by_enumeration(q, cells, block_grid):

@@ -6,7 +6,7 @@ from hypothesis import given
 
 from oracles import (PROPERTY, block_grid_by_cover, block_grid_by_labels,
                      grid_of, odd_q_and_polyomino)
-from toriclat import kernels
+from toriclat import interleaving, kernels
 from toriclat.cli import _map_json
 from toriclat.interleaving import (MODEL_ONE_PER_CELL, MODEL_UNIFORM_CLUSTER,
                                    build_interleaver, burst_exhaustive_report,
@@ -211,15 +211,28 @@ def test_is_correctable():
 
 
 def test_exhaustive_burst_guarantee_small_q():
-    # the count is a closed form per anchor, so no q is too large for it
-    for q in range(5, 42, 2):
+    # the count is one product over the map's q-entry table, so no q is too
+    # large for it; a loop over the q^2 anchors would not finish q = 1001
+    for q in (*range(5, 42, 2), 101, 1001):
         assert burst_exhaustive_report(build_interleaver(TorusLattice(q))) \
             == (q * q * 3 ** q, 0, None)
 
 
-def test_negative_control_every_doubled_cell_is_flagged():
+def test_negative_control_every_doubled_cell_is_flagged(monkeypatch):
+    # one verdict per torus cell: a cell's verdict does not depend on the
+    # anchor whose cluster holds it
+    calls = []
+    real = interleaving.is_correctable
+
+    def counting(mapping, errors, t=1):
+        calls.append(frozenset(errors))
+        return real(mapping, errors, t)
+
+    monkeypatch.setattr(interleaving, "is_correctable", counting)
     assert double_slot_uncorrectable_exhaustive(
         build_interleaver(TorusLattice(5)))
+    assert calls == [frozenset({Edge(x, y, SLOT_TOP), Edge(x, y, SLOT_LEFT)})
+                     for x, y in TorusLattice(5).cells()]
 
 
 def test_simulate_one_per_cell_never_fails():

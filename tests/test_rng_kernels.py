@@ -139,7 +139,8 @@ def test_every_anchor_of_the_interleavers_map_meets_each_block_once(q):
     mapping = build_interleaver(TorusLattice(q))
     for ay in range(q):
         for ax in range(q):
-            assert sorted(mapping.cluster_blocks(ax, ay)) == list(range(q))
+            assert sorted(oracles.cluster_blocks(mapping, ax, ay)) == \
+                list(range(q))
 
 
 @pytest.mark.parametrize("q", [5, 7])
@@ -152,7 +153,7 @@ def test_cluster_blocks_read_the_grid_at_the_translated_cells(q):
                        (bad_grid, _corrupted_map(q))):
         shared.append(0)
         for ax, ay in lattice.cells():
-            blocks = read.cluster_blocks(ax, ay)
+            blocks = oracles.cluster_blocks(read, ax, ay)
             assert blocks == [grid[y * q + x] for x, y in cluster_cells(
                 lattice, mapping.shape, (ax, ay))]
             shared[-1] += sorted(blocks) != list(range(q))
@@ -184,6 +185,28 @@ def test_burst_counts_match_the_enumeration_oracle_at_q7():
     args = _interleaver_args(7)
     assert burst_exhaustive_report(build_interleaver(TorusLattice(7))) == \
         burst_by_enumeration(*args) == (49 * 3 ** 7, 0, None)
+
+
+@pytest.mark.parametrize("q", range(5, 42, 2))
+def test_the_table_count_equals_the_per_anchor_oracle(q):
+    # the count reads the table once; the oracle takes a product at each
+    # of the q^2 anchors and finds the first failing one in row-major order
+    mapping = build_interleaver(TorusLattice(q))
+    rng = random.Random(q)
+    tables = [mapping.blocks, _corrupted_map(q).blocks]
+    for _ in range(4):
+        blocks = list(mapping.blocks)
+        for _ in range(rng.randint(1, 3)):
+            blocks[rng.randrange(q)] = rng.randrange(q)
+        tables.append(tuple(blocks))
+    reports = []
+    for blocks in tables:
+        edited = mapping._replace(blocks=blocks)
+        reports.append(burst_exhaustive_report(edited))
+        assert reports[-1] == oracles.burst_by_anchors(edited)
+    assert reports[0] == (q * q * 3 ** q, 0, None)
+    assert reports[1][2] == (0, 0, 3 ** (q - 1) + 3 ** (q - 2))
+    assert sum(failures > 0 for _, failures, _ in reports) >= 3
 
 
 @PROPERTY
@@ -442,7 +465,7 @@ def test_the_interleavers_own_grid_never_leaves_the_lanes(monkeypatch, q,
     # the canonical table gives each label its own block, so at t = 1 no
     # trial needs kernels.trial_errors; a verdict that sent them there
     # would keep every result and run ~5x slower.  The verdict is the
-    # map's, so no anchor's cluster is looked up either
+    # map's, so no cell's label, hence no anchor's cluster, is looked up
     mapping = build_interleaver(TorusLattice(q))
     expected = kernels.simulate_trials(mapping, 8, 0, 3000, model)
     calls = []
@@ -453,11 +476,10 @@ def test_the_interleavers_own_grid_never_leaves_the_lanes(monkeypatch, q,
         return real(*args)
 
     def per_anchor(*args):
-        raise AssertionError("the kernel looked up a cluster's blocks")
+        raise AssertionError("the kernel looked up a cell's label")
 
     monkeypatch.setattr(kernels, "trial_errors", counting)
-    monkeypatch.setattr(interleaving.InterleaverMap, "cluster_blocks",
-                        per_anchor)
+    monkeypatch.setattr(TorusLattice, "labels", per_anchor)
     result = kernels.simulate_trials(mapping, 8, 0, 3000, model)
     assert result == expected and sum(result[:2]) == 3000
     assert calls == []
