@@ -10,14 +10,6 @@ one choice in range(3) per cell (one-per-cell) or a partial Fisher-Yates
 over the cluster's 2*ncells edges taking the first ncells
 (uniform-cluster).
 
-simulate_trials runs the trials in blocks of LANES and computes their
-draws on packed lanes: one Python int holds a 64-bit value per trial,
-each in its own 128-bit slot, so that an add, shift, xor, multiply or
-mask acts on every trial of the block at once and a product of two
-64-bit values never reaches the next slot.  Draw d of the block's trials
-is one such row, computed the first time a trial needs it and unpacked
-into an array('Q').
-
 The kernel leaves out draws that cannot change an outcome.  A translate
 of the fundamental shape carries every coset label once, so when the
 map's table gives each label its own block (judged once per map) every
@@ -27,11 +19,24 @@ uniform-cluster, so where that bound is <= t no trial can fail and the
 run returns its count without drawing.  The lanes then serve one case,
 uniform-cluster with t = 1, where a trial fails exactly when it draws
 both edges of one cell: its Fisher-Yates deck holds cell bits and it
-stops at the first bit already seen.  Every other trial leaves the lanes
-and is judged by interleaving.is_correctable on the edges trial_errors
-draws: one at t = 0, one on a table that repeats a block (never, on a
-built map), and one that reads a packed draw below(n) would reject
-(probability below n / 2^64 per draw).
+stops at the first bit already seen.
+
+simulate_trials deals these trials in blocks of LANES, phase by phase.
+A phase packs one lane per live trial: one Python int holds a 64-bit
+value per lane, each in its own 128-bit slot, so that an add, shift,
+xor, multiply or mask acts on every lane at once and a product of two
+64-bit values never reaches the next slot.  Each of the phase's draws is
+one such row, unpacked into an array('Q'); the live trials then take the
+phase's Fisher-Yates steps, and the survivors carry their decks on.  A
+phase ends where the birthday survival prod (2c - 2i) / (2c - i) over c
+cells has halved since it began: at q = 13 a trial costs 9.5 rows, not 15.
+
+A trial leaves the lanes and is judged by interleaving.is_correctable on
+the edges trial_errors draws at t = 0, on a table that repeats a block
+(never, on a built map; these runs pack no row), and where a row of one
+of its phases holds a value below(n) would reject (below n / 2^64 per
+draw), read or not; a row is scanned for one only when its bytes hold a
+run of zeros.
 tests/oracles.simulate_by_streams makes every draw through stream and is
 held equal to this kernel.
 """
@@ -115,24 +120,67 @@ def _mix(z: int, mask: int) -> int:
     return (z ^ (z >> 31)) & mask
 
 
-class _Draws(dict):
-    """Draw d of a block's trials, row d, computed on first lookup."""
+def _rows(seed: int, first: int, lanes: list[int], draws: range,
+          ns: list[int]) -> tuple[list[array], set[int]]:
+    """Draw d of trial first + k for each d in draws, one row per draw over
+    the lanes k in order, and the lanes where below(ns[d]) may reject."""
+    ones = _pack(array("Q", [1]) * len(lanes))
+    mask = M64 * ones
+    state = ((first & M64) * ones + _pack(array("Q", lanes))) & mask
+    state = _mix(_mix(state, mask) ^ seed * ones, mask)
+    # as in SplitMix64, draw d mixes the state moved on by (d + 1) * GOLDEN
+    state += (draws.start * GOLDEN & M64) * ones
+    golden = GOLDEN * ones
+    rows, off = [], set()
+    for d in draws:
+        state = (state + golden) & mask
+        rows.append(_unpack(_mix(state, mask), len(lanes)))
+        # below(n) rejects the values under 2^64 % n, whose top bytes are 0
+        floor = (1 << 64) % ns[d]
+        if bytes(8 - (floor.bit_length() + 7) // 8) in rows[-1].tobytes():
+            off.update(k for k, z in zip(lanes, rows[-1]) if z < floor)
+    return rows, off
 
-    def __init__(self, seed: int, first: int, lanes: int) -> None:
-        super().__init__()
-        ones = _pack(array("Q", [1]) * lanes)
-        self.ones = ones
-        self.mask = M64 * ones
-        self.lanes = lanes
-        trials = (first & M64) * ones + _pack(array("Q", range(lanes)))
-        mixed = _mix(trials & self.mask, self.mask)
-        self.state = _mix(mixed ^ seed * ones, self.mask)
 
-    def __missing__(self, d: int) -> array:
-        step = ((d + 1) * GOLDEN & M64) * self.ones
-        row = self[d] = _unpack(
-            _mix((self.state + step) & self.mask, self.mask), self.lanes)
-        return row
+def _deal(seed: int, first: int, lanes: int, phases: list[range],
+          ns: list[int], deck: list[int]) -> bytearray:
+    """The verdicts of a block's trials first, first+1, ...: 0 fails, 1
+    passes, 2 leaves the lanes."""
+    alive, sent = list(range(lanes)), set()
+    # every lane starts from deck; a phase's survivors keep theirs one
+    # after another in one list, as some 500 small lists per block would
+    # raise a run's peak RSS
+    decks, stride, size = deck, 0, len(deck)
+    for phase in phases:
+        rows, off = _rows(seed, first, alive, phase, ns)
+        sent |= off
+        walk = [(d - 2, ns[d], row) for d, row in zip(phase, rows) if d > 1]
+        kept, survivors, b = [], [], 0
+        for p, k in enumerate(alive):
+            perm = decks[b:b + size]
+            b += stride
+            seen = perm[-1]
+            for i, n, row in walk:
+                j = i + row[p] % n
+                # half a swap: slot i is never read again
+                bit = perm[j]
+                perm[j] = perm[i]
+                if seen & bit:
+                    break
+                seen |= bit
+            else:
+                perm[-1] = seen
+                survivors += perm
+                kept.append(k)
+        alive, decks, stride = kept, survivors, size
+        if not alive:
+            break
+    verdict = bytearray(lanes)
+    for k in alive:
+        verdict[k] = 1
+    for k in sent:
+        verdict[k] = 2
+    return verdict
 
 
 def trial_errors(
@@ -179,8 +227,6 @@ def simulate_trials(
         raise ValueError("count must be >= 0")
     q, ncells = mapping.lattice.q, len(mapping.shape.cells)
     nedges = 2 * ncells
-    # below(n) rejects raw outputs under 2^64 % n
-    q_floor = (1 << 64) % q
     seed &= M64
     # where each label has its own block, a block errs as often as its one
     # cluster cell: at most once (one-per-cell) or twice (uniform-cluster),
@@ -190,40 +236,33 @@ def simulate_trials(
     if distinct and (1 if model == MODEL_ONE_PER_CELL else 2) <= t:
         return count, 0, []
     dealt = distinct and model == MODEL_UNIFORM_CLUSTER and t == 1
-    # the Fisher-Yates deck holds each edge's cell bit, edge e lying in
-    # cell e >> 1; step i takes draw i + 2 from range(n), n = nedges - i
-    bits = [1 << (e >> 1) for e in range(nedges)]
-    steps = [(i, i + 2, nedges - i, (1 << 64) % (nedges - i))
-             for i in range(ncells)]
+    # draw d picks from range(ns[d]): the anchor's x and y, then step d - 2
+    # of the Fisher-Yates, whose deck holds each edge's cell bit (edge e
+    # lies in cell e >> 1) and, last, the bits of the cells seen
+    ns = [q, q] + list(range(nedges, ncells, -1))
+    deck = [1 << (e >> 1) for e in range(nedges)] + [0]
+    # a phase ends where the survival prod (nedges - 2i) / (nedges - i)
+    # has halved since it began; the last step's 2 / (ncells + 1) alone does
+    phases, begin, num, den = [], 0, 1, 1
+    for i in range(ncells):
+        num, den = num * (nedges - 2 * i), den * (nedges - i)
+        if 2 * num <= den:
+            phases.append(range(begin, i + 3))
+            begin, num, den = i + 3, 1, 1
     correctable = 0
     failing: list[int] = []
     for first in range(start, start + count, LANES):
         lanes = min(LANES, start + count - first)
-        draws = _Draws(seed, first, lanes)
-        for k, (zx, zy) in enumerate(zip(draws[0], draws[1])):
-            ok = None  # for a trial that leaves the packed lanes
-            if dealt and zx >= q_floor and zy >= q_floor:
-                perm = bits[:]
-                seen = 0
-                ok = True
-                for i, d, n, n_floor in steps:
-                    z = draws[d][k]
-                    if z < n_floor:
-                        ok = None
-                        break
-                    j = i + z % n
-                    # half a swap: slot i is never read again
-                    bit = perm[j]
-                    perm[j] = perm[i]
-                    if seen & bit:
-                        ok = False
-                        break
-                    seen |= bit
-            if ok is None:
-                _, edges = trial_errors(mapping, seed, first + k, model)
-                ok = is_correctable(mapping, edges, t)[0]
-            if ok:
-                correctable += 1
-            elif len(failing) < max_record:
-                failing.append(first + k)
+        verdict = (_deal(seed, first, lanes, phases, ns, deck) if dealt
+                   else bytearray(b"\2") * lanes)
+        k = verdict.find(2)
+        while k >= 0:
+            _, edges = trial_errors(mapping, seed, first + k, model)
+            verdict[k] = is_correctable(mapping, edges, t)[0]
+            k = verdict.find(2, k + 1)
+        correctable += verdict.count(1)
+        k = verdict.find(0)
+        while k >= 0 and len(failing) < max_record:
+            failing.append(first + k)
+            k = verdict.find(0, k + 1)
     return correctable, count - correctable, failing

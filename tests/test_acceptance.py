@@ -9,15 +9,15 @@ from fractions import Fraction
 
 from reference_data import (EXAMPLE_CANDIDATES, EXAMPLE_DISTANCES,
                             GENERATOR_SETS, GRID_MARKS, INTERLEAVED_ROWS)
-from toriclat import tables
+from toriclat import interleaving, tables
 from toriclat.cli import main
 from toriclat.codes import generator_set
 from toriclat.distance import distance_report, min_distance_closed_form
 from toriclat.interleaving import (MODEL_ONE_PER_CELL, build_interleaver,
-                                   burst_exhaustive_report, cluster_cells,
+                                   burst_exhaustive_report,
                                    double_slot_uncorrectable_exhaustive,
                                    simulate)
-from toriclat.lattice import TorusLattice
+from toriclat.lattice import SLOT_LEFT, SLOT_TOP, Edge, TorusLattice
 from toriclat.params import compare, interleaved_params
 from toriclat.tessellation import (Polyomino, canonical_polyomino,
                                    is_fundamental_region, lee_sphere)
@@ -146,20 +146,27 @@ def test_criterion_08_burst_guarantee():
             f"({elapsed:.2f}s total)")
 
 
-def test_criterion_09_negative_control():
+def test_criterion_09_negative_control(monkeypatch):
     start = time.perf_counter()
     lattice = TorusLattice(5)
+    verdicts = []
+    real = interleaving.is_correctable
+
+    def counting(mapping, errors, t=1):
+        verdicts.append(sorted(errors))
+        return real(mapping, errors, t)
+
+    monkeypatch.setattr(interleaving, "is_correctable", counting)
     ok = double_slot_uncorrectable_exhaustive(build_interleaver(lattice))
-    # exhaustive means all 25 anchors x 5 cells were candidates
-    mapping = build_interleaver(lattice)
-    anchors = list(lattice.cells())
-    ok = ok and len(anchors) == 25
-    ok = ok and all(len(cluster_cells(lattice, mapping.shape, a)) == 5
-                    for a in anchors)
+    # exhaustive means one verdict per torus cell with both its edges
+    # errored, which covers that cell in each of the 5 anchors' clusters
+    # that hold it
+    ok = ok and verdicts == [[Edge(x, y, SLOT_TOP), Edge(x, y, SLOT_LEFT)]
+                             for x, y in lattice.cells()]
     elapsed = time.perf_counter() - start
     _report(9, ok and elapsed < 1.0,
-            f"all 125 doubled-cell patterns reported uncorrectable "
-            f"({elapsed:.3f}s)")
+            f"all 25 doubled cells reported uncorrectable, each in 5 "
+            f"anchors' clusters ({elapsed:.3f}s)")
 
 
 def test_criterion_10_simulation_determinism(capsys):

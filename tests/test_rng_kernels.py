@@ -285,6 +285,93 @@ def test_a_rejected_draw_reruns_its_trial_through_the_stream(
     assert kernels.simulate_trials(*window) == simulate_by_streams(*window)
 
 
+def _cells_drawn(seed, trial, q, steps):
+    """The cells of the first `steps` Fisher-Yates draws of a
+    uniform-cluster trial on the canonical q-cell shape, through stream."""
+    rng = stream(seed, trial)
+    rng.below(q), rng.below(q)
+    perm = list(range(2 * q))
+    for i in range(steps):
+        j = i + rng.below(2 * q - i)
+        perm[i], perm[j] = perm[j], perm[i]
+    return [e >> 1 for e in perm[:steps]]
+
+
+# at q = 13 the first phase ends after Fisher-Yates step 5, where the
+# survival 26/26 * 24/25 * ... * 16/21 first falls to 1/2 or below, so it
+# packs draws 0-7: raw draw 8 is step 6, the first draw of the second
+# phase, which only the trials whose steps 0-5 drew six distinct cells
+# read; raw draw 7 is step 5, which a trial whose steps 0-4 repeat a cell
+# never reads, though its lane packs it.  below(20) and below(21) reject
+# the 16 raw values under 2^64 % 20 = 2^64 % 21 = 16.  Either way the
+# lane leaves the packed lanes and trial_errors judges the trial, as it
+# does in the window of ordinary trials around it
+PHASE_CASES = {
+    "past-the-first-phase": (8, lambda cells: len(set(cells)) == 6),
+    "never-read": (7, lambda cells: len(set(cells[:5])) < 5),
+}
+
+
+@pytest.mark.parametrize("case", PHASE_CASES)
+def test_a_rejected_value_in_a_phase_row_sends_its_lane_off(monkeypatch,
+                                                            case):
+    d, wanted = PHASE_CASES[case]
+    mapping = build_interleaver(TorusLattice(13))
+    model = kernels.MODEL_UNIFORM_CLUSTER
+    trial = 1000
+    seed = next(seed for seed in (_seed_drawing(v, trial, d)
+                                  for v in range(16))
+                if wanted(_cells_drawn(seed, trial, 13, 6)))
+    one = (mapping, seed, trial, 1, model, 1, 1)
+    calls = []
+    real = kernels.trial_errors
+
+    def counting(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "trial_errors", counting)
+    assert kernels.simulate_trials(*one) == simulate_by_streams(*one)
+    window = (mapping, seed, trial - 3, 8, model, 1, 8)
+    assert kernels.simulate_trials(*window) == simulate_by_streams(*window)
+    assert calls == [trial, trial]
+
+
+def test_the_packed_rows_cover_fewer_than_10_draws_per_trial(monkeypatch):
+    # each trial's lane is packed only in the phases it is alive at the
+    # start of: at q = 13, 8 draws in the first phase and about 1.5 more on
+    # average, where packing every draw of every lane covers 15
+    covered = []
+    real = kernels._unpack
+
+    def counting(packed, lanes):
+        covered.append(lanes)
+        return real(packed, lanes)
+
+    monkeypatch.setattr(kernels, "_unpack", counting)
+    mapping = build_interleaver(TorusLattice(13))
+    assert kernels.simulate_trials(mapping, 2026, 0, 100000,
+                                   kernels.MODEL_UNIFORM_CLUSTER) == \
+        (72, 99928, [0, 1, 2, 3, 4])
+    assert sum(covered) / 100000 < 10
+
+
+@pytest.mark.parametrize("model", [kernels.MODEL_ONE_PER_CELL,
+                                   kernels.MODEL_UNIFORM_CLUSTER])
+def test_runs_off_the_lanes_pack_no_row(monkeypatch, model):
+    # at t = 0, and on a table that repeats a block, every trial goes
+    # through trial_errors, so no block packs its draws
+    runs = [(build_interleaver(TorusLattice(7)), 11, -3, 300, model, 0, 300),
+            (_corrupted_map(7), 11, -3, 300, model, 1, 300)]
+    expected = [simulate_by_streams(*args) for args in runs]
+
+    def pack(values):
+        raise AssertionError("a run off the lanes packed a row")
+
+    monkeypatch.setattr(kernels, "_pack", pack)
+    assert [kernels.simulate_trials(*args) for args in runs] == expected
+
+
 @pytest.mark.parametrize("d", [0, 1])
 def test_a_rejected_anchor_draw_leaves_the_lanes(monkeypatch, d):
     # on a built map a one-per-cell run at t = 1 returns before it draws,
@@ -310,11 +397,15 @@ def test_a_rejected_anchor_draw_leaves_the_lanes(monkeypatch, d):
 
 @pytest.mark.parametrize("start", [0, 2 ** 64 - 3, -3])
 def test_packed_draws_are_the_streams_draws_lane_for_lane(start):
-    draws = kernels._Draws(99, start, 40)
-    for k in range(40):
-        rng = stream(99, start + k)
-        assert [draws[d][k] for d in range(4)] == \
-            [rng.next_u64() for _ in range(4)]
+    # a phase packs only its live lanes, in lane order, and may start past
+    # draw 0
+    for lanes in (list(range(40)), [1, 2, 6, 17, 39]):
+        rows, off = kernels._rows(99, start, lanes, range(1, 4), [5] * 4)
+        assert off == set()
+        for p, k in enumerate(lanes):
+            rng = stream(99, start + k)
+            assert [row[p] for row in rows] == \
+                [rng.next_u64() for _ in range(4)][1:]
 
 
 @pytest.mark.parametrize("model,t", [
@@ -490,7 +581,7 @@ def test_the_interleavers_own_grid_never_leaves_the_lanes(monkeypatch, q,
     def draw(*args):
         raise AssertionError("a run no trial can fail drew")
 
-    monkeypatch.setattr(kernels, "_Draws", draw)
+    monkeypatch.setattr(kernels, "_pack", draw)
     monkeypatch.setattr(kernels, "trial_errors", draw)
     bound = 1 if model == kernels.MODEL_ONE_PER_CELL else 2
     for t in (bound, bound + 1):
