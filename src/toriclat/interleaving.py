@@ -66,10 +66,6 @@ class InterleaverMap(NamedTuple("InterleaverMap", [
             map(Edge, xs, ys, repeat(slot))
             for _, slot, xs, ys in self.runs()))
 
-    def edge_block(self, edge: Edge) -> int:
-        """The block of an edge's cell, its coordinates taken mod q."""
-        return self.blocks[self.lattice.labels([(edge.x, edge.y)])[0]]
-
 
 def build_interleaver(
     lattice: TorusLattice, shape: Polyomino | None = None

@@ -37,6 +37,7 @@ the edges trial_errors draws at t = 0, on a table that repeats a block
 of its phases holds a value below(n) would reject (below n / 2^64 per
 draw), read or not; a row is scanned for one only when its bytes hold a
 run of zeros.
+
 tests/oracles.simulate_by_streams makes every draw through stream and is
 held equal to this kernel.
 """

@@ -11,8 +11,7 @@ interleaver's blocks.
 
 from __future__ import annotations
 
-from itertools import chain, count, groupby, repeat
-from operator import add, mul, sub
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple
 
 from .codes import codewords
@@ -22,9 +21,10 @@ from .lattice import Cell, TorusLattice
 class Polyomino(NamedTuple("Polyomino", [("cells", tuple[Cell, ...])])):
     """An edge-connected set of cell offsets, normalized to the corner.
 
-    Cells are stored sorted row-major with min x = min y = 0.  The origin
-    itself need not be a cell (the radius-1 Lee sphere has none at its
-    bounding-box corner).
+    Cells have min x = min y = 0 and keep the order they are given in,
+    which is the block order of an interleaver built on the shape;
+    from_cells sorts them row-major.  The origin itself need not be a
+    cell (the radius-1 Lee sphere has none at its bounding-box corner).
     """
 
     __slots__ = ()
@@ -64,44 +64,17 @@ class Polyomino(NamedTuple("Polyomino", [("cells", tuple[Cell, ...])])):
 
 
 def _connected(cells: tuple[Cell, ...]) -> bool:
-    """Whether cells with x >= 0 form one edge-connected set, read off
-    their horizontal runs: each row's cells fall into maximal runs of
-    consecutive x, and runs in adjacent rows touch where their
-    x-intervals overlap.  The cells are connected exactly when joining
-    the touching runs leaves one piece.
-    """
-    xs = [x for x, _ in cells]
-    width = max(xs) + 2  # a gap, so that no run goes on into the next row
-    keys = sorted(map(add, map(mul, [y for _, y in cells], repeat(width)), xs))
-    runs = []  # (y, first x, last x) of each run, row-major
-    start = 0
-    # a key less its index is the same along a run and grows between runs
-    for offset, run in groupby(map(sub, keys, count())):
-        length = len(list(run))
-        y, x = divmod(offset + start, width)
-        runs.append((y, x, x + length - 1))
-        start += length
-    parent = list(range(len(runs)))
-
-    def root(r: int) -> int:
-        while parent[r] != r:
-            parent[r] = r = parent[parent[r]]
-        return r
-
-    pieces = len(runs)
-    above = 0  # the first run of the row above that can touch run i
-    for i, (y, first, last) in enumerate(runs):
-        while above < i and (runs[above][0] < y - 1 or (
-                runs[above][0] == y - 1 and runs[above][2] < first)):
-            above += 1
-        j = above
-        while j < i and runs[j][0] == y - 1 and runs[j][1] <= last:
-            a, b = root(i), root(j)
-            if a != b:
-                parent[a] = b
-                pieces -= 1
-            j += 1
-    return pieces == 1
+    """Whether the cells form one edge-connected set: a walk from any cell
+    over edge neighbours removes from the set every cell it reaches."""
+    todo = set(cells)
+    stack = [todo.pop()]
+    while stack:
+        x, y = stack.pop()
+        for cell in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
+            if cell in todo:
+                todo.remove(cell)
+                stack.append(cell)
+    return not todo
 
 
 def canonical_polyomino(lattice: TorusLattice) -> Polyomino:

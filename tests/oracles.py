@@ -7,8 +7,8 @@ These functions get the same answers the direct way, by enumeration, by
 a per-cell block grid, anchor by anchor or by making every draw, so the
 tests can hold the fast paths to them.  The renderers' cell-by-cell
 loops are kept here too, as the reference for the row-at-a-time ones,
-and the walk over edge neighbours that the polyomino's run-based
-connectivity check replaced.
+and a walk over edge neighbours that the polyomino's connectivity check
+is held to.
 The hypothesis settings and shape strategy shared by the property tests
 live here as well.
 """
@@ -139,6 +139,13 @@ def grid_of(mapping):
     q, g = mapping.lattice.q, mapping.lattice.g
     return tuple(mapping.blocks[(y - g * x) % q]
                  for y in range(q) for x in range(q))
+
+
+def edge_block(mapping, edge):
+    """The block of an edge's cell, its label (y - g*x) mod q taking the
+    coordinates mod q."""
+    q, g = mapping.lattice.q, mapping.lattice.g
+    return mapping.blocks[(edge.y - g * edge.x) % q]
 
 
 def generates_same_code(lattice, vec):

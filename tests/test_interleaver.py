@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 
 from oracles import (PROPERTY, block_grid_by_cover, block_grid_by_labels,
-                     grid_of, odd_q_and_polyomino)
+                     edge_block, grid_of, odd_q_and_polyomino)
 from toriclat import interleaving, kernels
 from toriclat.cli import _map_json
 from toriclat.interleaving import (MODEL_ONE_PER_CELL, MODEL_UNIFORM_CLUSTER,
@@ -45,14 +45,14 @@ def test_stream_map_is_a_bijection(q):
 def test_stream_indices_stay_inside_their_block(q):
     mapping = build_interleaver(TorusLattice(q))
     for i, edge in enumerate(mapping.stream_to_edge):
-        assert mapping.edge_block(edge) == i // (2 * q)
+        assert edge_block(mapping, edge) == i // (2 * q)
 
 
 def test_both_slots_of_a_cell_share_a_block():
     mapping = build_interleaver(TorusLattice(9))
     for x, y in mapping.lattice.cells():
-        assert mapping.edge_block(Edge(x, y, SLOT_TOP)) == \
-            mapping.edge_block(Edge(x, y, SLOT_LEFT))
+        assert edge_block(mapping, Edge(x, y, SLOT_TOP)) == \
+            edge_block(mapping, Edge(x, y, SLOT_LEFT))
 
 
 @pytest.mark.parametrize("q", [5, 7, 9, 11, 13])
@@ -187,10 +187,10 @@ def test_edges_are_taken_mod_q():
                         (Edge(5, 0, SLOT_TOP), Edge(0, 0, SLOT_TOP)),
                         (Edge(0, 5, SLOT_LEFT), Edge(0, 0, SLOT_LEFT)),
                         (Edge(-6, 13, SLOT_LEFT), Edge(4, 3, SLOT_LEFT))):
-        assert mapping.edge_block(spelt) == mapping.edge_block(edge)
+        assert edge_block(mapping, spelt) == edge_block(mapping, edge)
         assert deinterleave(mapping, {spelt}) == deinterleave(mapping, {edge})
-    assert mapping.edge_block(Edge(-1, 0, SLOT_TOP)) == 4
-    assert mapping.edge_block(Edge(5, 0, SLOT_TOP)) == 0
+    assert edge_block(mapping, Edge(-1, 0, SLOT_TOP)) == 4
+    assert edge_block(mapping, Edge(5, 0, SLOT_TOP)) == 0
     # two spellings of one edge are one error
     twice = {Edge(4, 0, SLOT_TOP), Edge(-1, 5, SLOT_TOP)}
     assert deinterleave(mapping, twice) == [0, 0, 0, 0, 1]
@@ -206,7 +206,7 @@ def test_is_correctable():
     doubled = {Edge(2, 2, SLOT_TOP), Edge(2, 2, SLOT_LEFT)}
     ok, offending = is_correctable(mapping, doubled)
     assert not ok
-    assert offending == [mapping.edge_block(Edge(2, 2, SLOT_TOP))]
+    assert offending == [edge_block(mapping, Edge(2, 2, SLOT_TOP))]
     assert is_correctable(mapping, set())[0]
 
 

@@ -47,14 +47,13 @@ def _cell_set(draw):
 
 @PROPERTY
 @given(_cell_set())
-def test_run_connectivity_matches_the_walk_on_cell_sets(cells):
+def test_connectivity_matches_the_walk_on_cell_sets(cells):
     assert _connected(cells) == connected_by_walk(cells)
 
 
 @PROPERTY
 @given(odd_q_and_polyomino(), st.data())
-def test_run_connectivity_matches_the_walk_on_grown_shapes(q_and_shape,
-                                                           data):
+def test_connectivity_matches_the_walk_on_grown_shapes(q_and_shape, data):
     # a grown shape is connected; less one cell it may fall apart
     _, shape = q_and_shape
     assert _connected(shape.cells) and connected_by_walk(shape.cells)
@@ -63,16 +62,57 @@ def test_run_connectivity_matches_the_walk_on_grown_shapes(q_and_shape,
     assert _connected(cells) == connected_by_walk(cells)
 
 
-def test_run_connectivity_cases():
-    # runs that touch only at a corner, and a ring around a hole
+def test_connectivity_cases():
+    # a single cell
+    assert _connected(((0, 0),))
+    # rows that touch only at a corner, and a ring around a hole
     assert not _connected(((0, 0), (1, 1)))
     assert _connected(((0, 0), (1, 0), (2, 0), (0, 1), (2, 1),
                        (0, 2), (1, 2), (2, 2)))
-    # a run that bridges two runs of the row above
+    # a row that bridges two pieces of the row above
     assert _connected(((0, 0), (2, 0), (0, 1), (1, 1), (2, 1)))
     assert not _connected(((0, 0), (2, 0), (0, 1), (2, 1)))
     # rows with a gap between them
     assert not _connected(((0, 0), (0, 2)))
+
+
+def _spiral(side):
+    # a one-cell-wide square spiral inward from (0, 0), its arms a cell
+    # apart: legs of side - 1, side - 1, side - 1, then two each of
+    # side - 3, side - 5, ... steps, turning right at each
+    cells = [(0, 0)]
+    dx, dy = 1, 0
+    legs = [side - 1] * 3 + [n for n in range(side - 3, 0, -2)
+                             for _ in (0, 1)]
+    for leg in legs:
+        for _ in range(leg):
+            x, y = cells[-1]
+            cells.append((x + dx, y + dy))
+        dx, dy = -dy, dx
+    return cells
+
+
+def test_connectivity_of_a_one_cell_wide_spiral():
+    # the walk goes the whole length of the spiral, one cell at a time
+    cells = _spiral(41)
+    assert len(set(cells)) == len(cells) > 800
+    members = set(cells)
+    assert all(sum((x + dx, y + dy) in members for dx, dy in
+                   ((1, 0), (-1, 0), (0, 1), (0, -1))) <= 2
+               for x, y in cells)  # a path: no cell touches a second arm
+    assert _connected(tuple(cells)) and connected_by_walk(cells)
+    for cut in (1, len(cells) // 2, len(cells) - 2):
+        rest = tuple(cells[:cut] + cells[cut + 1:])
+        assert not _connected(rest) and not connected_by_walk(rest)
+
+
+def test_connectivity_of_the_q10001_canonical_shape():
+    # a 3333 x 3 block and a strip of 2 in column 3333; without the
+    # block's column 1, column 0 is cut off
+    cells = canonical_polyomino(TorusLattice(10001)).cells
+    assert len(cells) == 10001 and _connected(cells)
+    cut = tuple((x, y) for x, y in cells if x != 1)
+    assert len(cut) == 10001 - 3 and not _connected(cut)
 
 
 def test_canonical_shapes():
