@@ -375,22 +375,31 @@ def _map_json(mapping: InterleaverMap) -> str:
     A piece is one join over its slot's list of the q entries' parts,
     whose brackets, separators and slot digit are filled once; each run
     sets its stream indices and x and y columns by slice assignment.
+    Runs come in stream order, so index i is two parts off two iterators:
+    its thousands ("" below 1000, else str(i // 1000) once per thousand)
+    and its units (str(i) below 1000, else one of 1000 cached "%03d").
     """
+    from itertools import chain, count, cycle, islice, repeat
     q = mapping.lattice.q
     sep = ",\n      "
+    thousands = chain(repeat("", 1000), chain.from_iterable(
+        map(repeat, map(str, count(1)), repeat(1000))))
+    units = chain(map(str, range(1000)),
+                  cycle([f"{u:03d}" for u in range(1000)]))
     pieces = {}
     parts = [f'{{\n  "q": {q},\n  "map": [\n']
-    for first, slot, xs, ys in mapping.runs([str(v) for v in range(q)]):
+    for _, slot, xs, ys in mapping.runs([str(v) for v in range(q)]):
         piece = pieces.get(slot)
         if piece is None:
-            # the opening bracket, then i, x, y and the close of each entry
+            # the opening bracket, then i's two parts, x, y and each close
             close = f"{sep}{slot}\n    ]"
             piece = pieces[slot] = ["    [\n      "] + [
-                "", sep, "", sep, "", close + ",\n    [\n      "] * q
+                "", "", sep, "", sep, "", close + ",\n    [\n      "] * q
             piece[-1] = close
-        piece[1::6] = map(str, range(first, first + q))
-        piece[3::6] = xs
-        piece[5::6] = ys
+        piece[1::7] = islice(thousands, q)
+        piece[2::7] = islice(units, q)
+        piece[4::7] = xs
+        piece[6::7] = ys
         parts += "".join(piece), ",\n"
     parts[-1] = "\n  ]\n}\n"  # in place of the last separator
     return "".join(parts)

@@ -920,7 +920,8 @@ def test_svg_is_streamed_a_row_at_a_time(tmp_path):
     assert extra <= 0.25 * target.stat().st_size
 
 
-@pytest.mark.parametrize("q", range(5, 42, 2))
+# at q = 125 runs of q stream positions start at 1000, 2000, ..., 31000
+@pytest.mark.parametrize("q", [*range(5, 42, 2), 125])
 def test_interleave_prints_the_stream_map_as_indented_json(capsys, q):
     mapping = build_interleaver(TorusLattice(q))
     payload = {"q": q, "map": [[i, e.x, e.y, e.slot]
