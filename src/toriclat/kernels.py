@@ -147,20 +147,16 @@ def _deal(seed: int, first: int, lanes: int, phases: list[range],
           ns: list[int], deck: list[int]) -> bytearray:
     """The verdicts of a block's trials first, first+1, ...: 0 fails, 1
     passes, 2 leaves the lanes."""
+    # each live trial's lane, its deck and the bits of the cells it has
+    # seen, in lane order; a lane copies deck when it first deals
     alive, sent = list(range(lanes)), set()
-    # every lane starts from deck; a phase's survivors keep theirs one
-    # after another in one list, as some 500 small lists per block would
-    # raise a run's peak RSS
-    decks, stride, size = deck, 0, len(deck)
+    decks, seens = (deck[:] for _ in alive), [0] * lanes
     for phase in phases:
         rows, off = _rows(seed, first, alive, phase, ns)
         sent |= off
         walk = [(d - 2, ns[d], row) for d, row in zip(phase, rows) if d > 1]
-        kept, survivors, b = [], [], 0
-        for p, k in enumerate(alive):
-            perm = decks[b:b + size]
-            b += stride
-            seen = perm[-1]
+        kept, kept_decks, kept_seens = [], [], []
+        for p, (k, perm, seen) in enumerate(zip(alive, decks, seens)):
             for i, n, row in walk:
                 j = i + row[p] % n
                 # half a swap: slot i is never read again
@@ -170,10 +166,10 @@ def _deal(seed: int, first: int, lanes: int, phases: list[range],
                     break
                 seen |= bit
             else:
-                perm[-1] = seen
-                survivors += perm
                 kept.append(k)
-        alive, decks, stride = kept, survivors, size
+                kept_decks.append(perm)
+                kept_seens.append(seen)
+        alive, decks, seens = kept, kept_decks, kept_seens
         if not alive:
             break
     verdict = bytearray(lanes)
@@ -239,9 +235,9 @@ def simulate_trials(
     dealt = distinct and model == MODEL_UNIFORM_CLUSTER and t == 1
     # draw d picks from range(ns[d]): the anchor's x and y, then step d - 2
     # of the Fisher-Yates, whose deck holds each edge's cell bit (edge e
-    # lies in cell e >> 1) and, last, the bits of the cells seen
+    # lies in cell e >> 1)
     ns = [q, q] + list(range(nedges, ncells, -1))
-    deck = [1 << (e >> 1) for e in range(nedges)] + [0]
+    deck = [1 << (e >> 1) for e in range(nedges)]
     # a phase ends where the survival prod (nedges - 2i) / (nedges - i)
     # has halved since it began; the last step's 2 / (ncells + 1) alone does
     phases, begin, num, den = [], 0, 1, 1

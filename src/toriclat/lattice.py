@@ -9,6 +9,7 @@ exactly 2*q**2 edges.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Iterable, Iterator, NamedTuple
 
 Cell = tuple[int, int]
@@ -32,11 +33,13 @@ def symmetric_residue(v: int, q: int) -> int:
 
 class TorusLattice(NamedTuple("TorusLattice", [("q", int)])):
     """The q x q cell grid with torus wraparound, q = 2n+1 and n >= 2, and
-    the code <(1, g)> on it, which every layer reads off labels and step."""
+    the code <(1, g)> on it, which every layer reads off labels and step.
+    A q that is not an integer (a float, a str) raises TypeError."""
 
     __slots__ = ()
 
     def __new__(cls, q: int) -> TorusLattice:
+        q = index(q)
         if q < 5 or q % 2 == 0:
             raise ValueError(f"q must be odd and >= 5, got {q}")
         return super().__new__(cls, q)

@@ -12,6 +12,7 @@ interleaver's blocks.
 from __future__ import annotations
 
 from itertools import chain
+from operator import index
 from typing import Iterable, Iterator, NamedTuple
 
 from .codes import codewords
@@ -43,10 +44,11 @@ class Polyomino(NamedTuple("Polyomino", [("cells", tuple[Cell, ...])])):
     @classmethod
     def from_cells(cls, cells: Iterable[Cell]) -> "Polyomino":
         """Normalize arbitrary integer offsets and sort them row-major; a
-        repeated cell raises ValueError."""
+        repeated cell raises ValueError and a coordinate that is not an
+        integer (a float, a str) TypeError."""
         pts: set[Cell] = set()
         for x, y in cells:
-            cell = (int(x), int(y))
+            cell = (index(x), index(y))
             if cell in pts:
                 raise ValueError(f"duplicate cell {cell}")
             pts.add(cell)
@@ -223,7 +225,11 @@ def render_ascii(tiling: Tiling) -> str:
         for y in range(q))
 
 
-def svg_rows(tiling: Tiling, cell_size: int = 24) -> Iterator[str]:
+# the side of each cell's square in the SVG, in user units
+CELL_SIZE = 24
+
+
+def svg_rows(tiling: Tiling) -> Iterator[str]:
     """The SVG of render_svg as pieces, each ending in a newline, made as
     they are read: the header, the rects of each lattice row, one piece
     per anchor line and the closing tag.  Only the piece in hand is held.
@@ -233,7 +239,7 @@ def svg_rows(tiling: Tiling, cell_size: int = 24) -> Iterator[str]:
     y and its per-anchor tails (each formatted once) by slice assignment.
     """
     q = tiling.lattice.q
-    s = cell_size
+    s = CELL_SIZE
     side = q * s
     yield (f'<svg xmlns="http://www.w3.org/2000/svg" width="{side}" '
            f'height="{side}" viewBox="0 0 {side} {side}">\n')
@@ -257,7 +263,7 @@ def svg_rows(tiling: Tiling, cell_size: int = 24) -> Iterator[str]:
     yield "</svg>\n"
 
 
-def render_svg(tiling: Tiling, cell_size: int = 24) -> str:
+def render_svg(tiling: Tiling) -> str:
     """SVG with one unit square per cell, colored by anchor, X on anchors;
     the pieces of svg_rows joined."""
-    return "".join(svg_rows(tiling, cell_size))
+    return "".join(svg_rows(tiling))

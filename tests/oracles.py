@@ -294,11 +294,11 @@ def ascii_by_cells(tiling):
     return "\n".join(rows) + "\n"
 
 
-def svg_by_cells(tiling, cell_size=24):
+def svg_by_cells(tiling):
     """The specification of render_svg and of svg_rows joined: one
     formatted rect per cell."""
     q = tiling.lattice.q
-    s = cell_size
+    s = 24
     side = q * s
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{side}" '

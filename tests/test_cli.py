@@ -920,6 +920,21 @@ def test_svg_is_streamed_a_row_at_a_time(tmp_path):
     assert extra <= 0.25 * target.stat().st_size
 
 
+def _assert_same_document(got, expected):
+    """got == expected; a mismatch is reported by its first differing
+    offset and some 80 characters around it, so that pytest never diffs
+    two documents of megabytes line by line."""
+    if got == expected:
+        return
+    at = next((i for i, (a, b) in enumerate(zip(got, expected)) if a != b),
+              min(len(got), len(expected)))
+    start = max(at - 40, 0)
+    pytest.fail(f"documents differ at offset {at} (lengths {len(got)} and "
+                f"{len(expected)}):\n"
+                f"     got {got[start:at + 40]!r}\n"
+                f"expected {expected[start:at + 40]!r}", pytrace=False)
+
+
 # at q = 125 runs of q stream positions start at 1000, 2000, ..., 31000
 @pytest.mark.parametrize("q", [*range(5, 42, 2), 125])
 def test_interleave_prints_the_stream_map_as_indented_json(capsys, q):
@@ -928,7 +943,7 @@ def test_interleave_prints_the_stream_map_as_indented_json(capsys, q):
                                for i, e in enumerate(mapping.stream_to_edge)]}
     code, out = run(capsys, "interleave", "--q", str(q))
     assert code == 0
-    assert out == json.dumps(payload, indent=2) + "\n"
+    _assert_same_document(out, json.dumps(payload, indent=2) + "\n")
 
 
 @PROPERTY
@@ -938,7 +953,8 @@ def test_map_json_matches_json_dumps_on_random_shapes(q_and_shape):
     mapping = build_interleaver(TorusLattice(q), shape)
     payload = {"q": q, "map": [[i, e.x, e.y, e.slot]
                                for i, e in enumerate(mapping.stream_to_edge)]}
-    assert _map_json(mapping) == json.dumps(payload, indent=2) + "\n"
+    _assert_same_document(_map_json(mapping),
+                          json.dumps(payload, indent=2) + "\n")
 
 
 def _benchmark_digest(command):

@@ -145,6 +145,41 @@ def test_block_columns_follow_the_coset_label(q):
     _assert_runs_follow_the_coset_label(build_interleaver(TorusLattice(q)))
 
 
+def _assert_the_tiling_and_the_map_are_one_coset_layout(lat, shape):
+    # tessellate's rows and the runs' strided slices lay out the same
+    # cosets: stream position i sits on the cell of translate i % q, and
+    # its block i // 2q is the block of the cell's label
+    q = lat.q
+    anchors = tessellate(lat, shape).cell_to_anchor
+    mapping = build_interleaver(lat, shape)
+    stream = mapping.stream_to_edge
+    assert [anchors[y * q + x] for x, y, _ in stream] == \
+        [i % q for i in range(2 * q * q)]
+    assert [mapping.blocks[label]
+            for label in lat.labels((x, y) for x, y, _ in stream)] == \
+        [i // (2 * q) for i in range(2 * q * q)]
+
+
+@pytest.mark.parametrize("q", range(5, 42, 2))
+def test_tiling_and_map_are_one_coset_layout_on_canonical_shapes(q):
+    lat = TorusLattice(q)
+    _assert_the_tiling_and_the_map_are_one_coset_layout(
+        lat, canonical_polyomino(lat))
+
+
+def test_tiling_and_map_are_one_coset_layout_on_the_lee_sphere():
+    _assert_the_tiling_and_the_map_are_one_coset_layout(
+        TorusLattice(5), lee_sphere())
+
+
+@PROPERTY
+@given(odd_q_and_polyomino(fundamental=True))
+def test_tiling_and_map_are_one_coset_layout_on_random_shapes(q_and_shape):
+    q, shape = q_and_shape
+    _assert_the_tiling_and_the_map_are_one_coset_layout(TorusLattice(q),
+                                                        shape)
+
+
 def test_build_accepts_the_lee_sphere():
     # a shape that is not canonical: its first cell is not the origin
     mapping = build_interleaver(TorusLattice(5), lee_sphere())

@@ -37,6 +37,22 @@ def test_lattice_validation():
         assert lat.g == 2 * (lat.n - 1) == lat.q - 3
 
 
+@pytest.mark.parametrize("bad", [7.0, 7.5, "7", None])
+def test_a_q_that_is_not_an_integer_is_refused_at_construction(bad):
+    # 7.0 would construct and fail later inside range(), as in codewords
+    with pytest.raises(TypeError):
+        TorusLattice(bad)
+
+
+def test_an_int_subclass_q_is_taken_as_its_int():
+    class Int(int):
+        pass
+
+    lat = TorusLattice(Int(7))
+    assert lat == TorusLattice(7)
+    assert type(lat.q) is int
+
+
 @pytest.mark.parametrize("q", range(5, 62, 2))
 def test_labels_and_step(q):
     lat = TorusLattice(q)
