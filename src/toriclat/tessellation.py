@@ -30,7 +30,11 @@ class Polyomino(NamedTuple("Polyomino", [("cells", tuple[Cell, ...])])):
 
     __slots__ = ()
 
-    def __new__(cls, cells: tuple[Cell, ...]) -> Polyomino:
+    def __new__(cls, cells: Iterable[Cell]) -> Polyomino:
+        """The shape of the normalized cells, each kept as a pair of ints;
+        a coordinate that is not an integer (a float, a str) raises
+        TypeError."""
+        cells = tuple((index(x), index(y)) for x, y in cells)
         if not cells:
             raise ValueError("polyomino needs at least one cell")
         if len(set(cells)) != len(cells):

@@ -18,7 +18,8 @@ import toriclat
 from oracles import PROPERTY, odd_q_and_polyomino
 from reference_data import GRID_MARKS, INTERLEAVED_ROWS
 from toriclat import kernels, params, tables
-from toriclat.cli import _map_json, build_parser, main
+from toriclat.cli import build_parser, main
+from toriclat.commands.interleave import _map_json
 from toriclat.interleaving import build_interleaver
 from toriclat.lattice import TorusLattice
 
@@ -1110,6 +1111,35 @@ def test_commands_do_not_import_dataclasses_or_inspect(argv):
     assert _heavy_modules_loaded(run_command) == _heavy_modules_loaded("")
 
 
+# Each command's arguments and body are in its module of toriclat.commands
+# (compare's in params's), and a process compiles only the one it runs.
+
+@pytest.mark.parametrize("argv", ALL_COMMANDS, ids=lambda a: a[0])
+def test_each_command_loads_only_its_own_command_module(argv):
+    own = "params" if argv[0] == "compare" else argv[0]
+    assert {m for m in _imported_modules(argv)
+            if m.startswith("toriclat.commands.")} == {
+        f"toriclat.commands.{own}"}
+
+
+def test_cli_loads_a_command_module_only_for_the_parser_of_that_command():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, toriclat.cli as cli\n"
+         "def commands():\n"
+         "    return sorted(m for m in sys.modules\n"
+         "                  if m.startswith('toriclat.commands'))\n"
+         "print(commands())\n"
+         "cli.build_parser(['-h'])\n"
+         "print(commands())\n"
+         "cli.build_parser(['gens', '--q', '7'])\n"
+         "print(commands())\n"],
+        capture_output=True, text=True, env=_child_env(False), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "[]", "[]", "['toriclat.commands', 'toriclat.commands.gens']"]
+
+
 # the package's public names and their layers
 PUBLIC_NAMES = {
     "codes": ("GeneratorSet", "codewords", "generator_set", "is_perfect",
@@ -1164,7 +1194,7 @@ def test_removed_names_are_gone(name):
 
 
 def _choices(command, dest):
-    sub = next(a for a in build_parser()._actions
+    sub = next(a for a in build_parser([command])._actions
                if isinstance(a, argparse._SubParsersAction))
     action = next(a for a in sub.choices[command]._actions if a.dest == dest)
     return action.choices, action.default
@@ -1281,3 +1311,34 @@ def fuzzed_argv(draw):
 @given(fuzzed_argv())
 def test_fuzzed_argv_exits_with_a_documented_code(fuzz_paths, argv):
     _assert_documented_exit(argv, fuzz_paths)
+
+
+# Help and usage bytes, captured with COLUMNS=80 before the commands moved
+# out of cli.py.  Python 3.13 wraps the top-level usage line otherwise;
+# its copies of the files that differ are under py3.13/.
+HELP_GOLDEN = GOLDEN / "cli"
+HELP_CASES = {
+    "help.txt": ["-h"],
+    **{f"help_{command}.txt": [command, "-h"] for command in COMMANDS},
+    "usage_none.txt": [],
+    "usage_bogus.txt": ["bogus"],
+    "usage_option_first.txt": ["--q", "5", "gens"],
+}
+
+
+def _help_golden(name):
+    version = HELP_GOLDEN / "py{}.{}".format(*sys.version_info[:2]) / name
+    return (version if version.exists() else HELP_GOLDEN / name).read_text(
+        encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(HELP_CASES))
+def test_help_and_usage_are_the_goldens(capsys, monkeypatch, name):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(HELP_CASES[name])
+    out, err = capsys.readouterr()
+    if name.startswith("usage"):
+        assert (exc.value.code, out, err) == (2, "", _help_golden(name))
+    else:
+        assert (exc.value.code, out, err) == (0, _help_golden(name), "")

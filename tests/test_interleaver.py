@@ -7,7 +7,7 @@ from hypothesis import given
 from oracles import (PROPERTY, block_grid_by_cover, block_grid_by_labels,
                      edge_block, grid_of, odd_q_and_polyomino)
 from toriclat import interleaving, kernels
-from toriclat.cli import _map_json
+from toriclat.commands.interleave import _map_json
 from toriclat.interleaving import (MODEL_ONE_PER_CELL, MODEL_UNIFORM_CLUSTER,
                                    build_interleaver, burst_exhaustive_report,
                                    cluster_cells, deinterleave,

@@ -34,6 +34,25 @@ def test_from_cells_refuses_a_coordinate_that_is_not_an_integer(bad):
         Polyomino.from_cells([(0, 0), (1, 0), (0, bad)])
 
 
+@pytest.mark.parametrize("bad", [1.0, "1"])
+def test_polyomino_refuses_a_coordinate_that_is_not_an_integer(bad):
+    # taken as given, (1.0, 0) builds a shape that tessellate later
+    # refuses with an unrelated TypeError from a list index
+    with pytest.raises(TypeError, match="as an integer"):
+        Polyomino(((0, 0), (bad, 0), (2, 0), (3, 0), (4, 0)))
+    with pytest.raises(TypeError, match="as an integer"):
+        Polyomino(((0, 0), (0, bad), (0, 2), (0, 3), (0, 4)))
+
+
+def test_polyomino_takes_int_subclass_coordinates_as_ints():
+    class Int(int):
+        pass
+
+    p = Polyomino([(Int(0), 0), (1, Int(0)), (Int(0), Int(1))])
+    assert p.cells == ((0, 0), (1, 0), (0, 1))
+    assert all(type(v) is int for cell in p.cells for v in cell)
+
+
 def test_from_cells_takes_int_subclass_coordinates_as_ints():
     class Int(int):
         pass
