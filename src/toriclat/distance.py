@@ -62,10 +62,15 @@ def min_distance_closed_form(lattice: TorusLattice) -> int:
 
 def distance_report(lattice: TorusLattice) -> DistanceReport:
     """Brute force: the minimum Mannheim weight over the q-1 nonzero
-    codewords of the canonical code, each in symmetric-residue form."""
-    nonzero = [lattice.reduce(c) for c in codewords(lattice)[1:]]
-    best = min(nonzero, key=mannheim_weight)  # the first of minimal weight
-    return DistanceReport(lattice.q, mannheim_weight(best), best,
+    codewords of the canonical code, each in symmetric-residue form,
+    v -> (v + h) % q - h with h = (q-1)/2, reduced and weighed inline."""
+    q, h = lattice.q, lattice.n
+    nonzero = [((x + h) % q - h, (y + h) % q - h)
+               for x, y in codewords(lattice)[1:]]
+    weights = [abs(x) + abs(y) for x, y in nonzero]
+    distance = min(weights)
+    # index finds the first of minimal weight
+    return DistanceReport(q, distance, nonzero[weights.index(distance)],
                           _candidates(lattice))
 
 

@@ -42,6 +42,8 @@ def interleaver(q_max: int) -> list[str]:
     correctable for q <= 9, and every doubled cell is flagged at q = 5.
     A q whose map cannot be built is a violation, and its sweeps are
     skipped."""
+    from itertools import repeat
+
     from . import interleaving
     from .lattice import TorusLattice
     q_max = min(q_max, 41)
@@ -53,7 +55,12 @@ def interleaver(q_max: int) -> list[str]:
         except ValueError as error:
             lines.append(f"FAIL interleaver q={q}: {error}")
             continue
-        if len(set(mapping.stream_to_edge)) != 2 * q * q:
+        # the edges the stream's runs lay down, as plain (x, y, slot)
+        # tuples: a bijection lays down 2q^2 distinct ones
+        edges = set()
+        for _, slot, xs, ys in mapping.runs():
+            edges.update(zip(xs, ys, repeat(slot)))
+        if len(edges) != 2 * q * q:
             lines.append(f"FAIL interleaver q={q}: stream map is not a "
                          "bijection")
         if q <= 9:

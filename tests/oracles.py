@@ -8,7 +8,8 @@ a per-cell block grid, anchor by anchor or by making every draw, so the
 tests can hold the fast paths to them.  The renderers' cell-by-cell
 loops are kept here too, as the reference for the row-at-a-time ones,
 and a walk over edge neighbours that the polyomino's connectivity check
-is held to.
+is held to, and the distance report taken codeword by codeword through
+the lattice's reduce and mannheim_weight, which the inline one is held to.
 The hypothesis settings and shape strategy shared by the property tests
 live here as well.
 """
@@ -20,6 +21,7 @@ from math import prod
 from hypothesis import assume, settings, strategies as st
 
 from toriclat.codes import codewords
+from toriclat.distance import DistanceReport, _candidates, mannheim_weight
 from toriclat.interleaving import MODEL_ONE_PER_CELL, MODEL_UNIFORM_CLUSTER
 from toriclat.kernels import M64, stream
 from toriclat.lattice import TorusLattice
@@ -70,6 +72,15 @@ def connected_by_walk(cells):
             if nb in members and nb not in seen:
                 todo.add(nb)
     return len(seen) == len(cells)
+
+
+def distance_by_reduce(lattice):
+    """distance_report's specification: each nonzero codeword reduced by
+    lattice.reduce, the first of least mannheim_weight taken by min."""
+    nonzero = [lattice.reduce(c) for c in codewords(lattice)[1:]]
+    best = min(nonzero, key=mannheim_weight)  # the first of minimal weight
+    return DistanceReport(lattice.q, mannheim_weight(best), best,
+                          _candidates(lattice))
 
 
 def fundamental_by_pairs_and_cover(lattice, cells):

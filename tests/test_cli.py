@@ -584,26 +584,61 @@ def test_verify_reports_a_move_vector_minimum_off_the_distance(
         1, "FAIL distance q=9: move-vector minimum 4 != distance 3\n", "")
 
 
-def test_verify_reports_a_stream_map_that_is_not_a_bijection(
-        capsys, monkeypatch):
+def _runs_broken_at_11(broken_runs):
+    """A build_interleaver wrapper whose q = 11 map yields its runs through
+    broken_runs(runs), the runs of the real map as (first, slot, xs, ys)."""
     from types import SimpleNamespace
-    from toriclat import interleaving
 
-    def doubled_at_11(real):
+    def wrap(real):
         def build(lattice):
             mapping = real(lattice)
             if lattice.q != 11:
                 return mapping
-            edges = mapping.stream_to_edge
+            runs = list(mapping.runs())
             return SimpleNamespace(lattice=lattice,
-                                   stream_to_edge=edges[:1] + edges[:-1])
+                                   runs=lambda: broken_runs(runs))
         return build
+    return wrap
+
+
+NOT_A_BIJECTION_AT_11 = (
+    1, "FAIL interleaver q=11: stream map is not a bijection\n"
+       + BURSTS_TO_9 + CONTROL_OK, "")
+
+
+def test_verify_reports_a_stream_map_that_is_not_a_bijection(
+        capsys, monkeypatch):
+    # a slot-1 run lays its first edge down twice and its last never;
+    # the cell keeps its slot-0 edge, so a count of cells would pass
+    from toriclat import interleaving
+
+    def repeat_an_edge(runs):
+        first, slot, xs, ys = runs[1]
+        assert slot == 1
+        return [runs[0], (first, slot, xs[:1] + xs[:-1], ys[:1] + ys[:-1]),
+                *runs[2:]]
 
     assert _verify_with(
-        capsys, monkeypatch, interleaving, "build_interleaver", doubled_at_11,
-        ["--scope", "interleaver", "--q-max", "11"]) == (
-        1, "FAIL interleaver q=11: stream map is not a bijection\n"
-           + BURSTS_TO_9 + CONTROL_OK, "")
+        capsys, monkeypatch, interleaving, "build_interleaver",
+        _runs_broken_at_11(repeat_an_edge),
+        ["--scope", "interleaver", "--q-max", "11"]) == NOT_A_BIJECTION_AT_11
+
+
+def test_verify_reports_a_stream_map_with_a_run_in_the_wrong_slot(
+        capsys, monkeypatch):
+    # block 0's slot-0 run is yielded as slot 1: its cells' left edges
+    # come twice and their top edges never, though every cell is reached
+    from toriclat import interleaving
+
+    def relabel_a_run(runs):
+        first, slot, xs, ys = runs[0]
+        assert slot == 0
+        return [(first, 1, xs, ys), *runs[1:]]
+
+    assert _verify_with(
+        capsys, monkeypatch, interleaving, "build_interleaver",
+        _runs_broken_at_11(relabel_a_run),
+        ["--scope", "interleaver", "--q-max", "11"]) == NOT_A_BIJECTION_AT_11
 
 
 def test_verify_reports_an_uncorrectable_burst(capsys, monkeypatch):
@@ -1017,16 +1052,29 @@ def test_golden_outputs_are_stable(capsys, name, argv):
 # Import contract.  A command imports only the layers it runs, and
 # `import toriclat` imports none until one of its names is looked up.
 
+# runs the package as `python -m toriclat` does and, at exit, writes the
+# name of every module in sys.modules to stderr, one per line
+_RUN_AND_LIST_MODULES = """\
+import atexit, runpy, sys
+atexit.register(lambda: sys.stderr.write(
+    "".join(f"module: {name}\\n" for name in sorted(sys.modules))))
+sys.argv[1:] = %r
+runpy.run_module("toriclat", run_name="__main__", alter_sys=True)
+"""
+
+
 def _imported_modules(argv):
-    """Modules a fresh `python -m toriclat ...` process imports, read off
-    its -X importtime report."""
+    """Modules a fresh `python -m toriclat ...` process has imported when
+    it exits, read off its sys.modules: these include the layers that
+    toriclat's __getattr__ loads through importlib.import_module, which
+    -X importtime does not report."""
     proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "toriclat", *argv],
+        [sys.executable, "-c", _RUN_AND_LIST_MODULES % (argv,)],
         capture_output=True, text=True, env=_child_env(False), timeout=60)
     assert proc.returncode == 0, proc.stderr
-    return {line.rsplit("|", 1)[1].strip()
+    return {line.removeprefix("module: ")
             for line in proc.stderr.splitlines()
-            if line.startswith("import time:")}
+            if line.startswith("module: ")}
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import distance_by_reduce
 from reference_data import EXAMPLE_CANDIDATES, EXAMPLE_DISTANCES
 from toriclat.codes import codewords
 from toriclat.distance import (distance_report, mannheim_weight,
@@ -25,6 +26,14 @@ def test_achieving_vectors_break_ties_by_smallest_k():
     assert distance_report(TorusLattice(7)).achieving_vector == (2, 1)
     assert distance_report(TorusLattice(9)).achieving_vector == (3, 0)
     assert distance_report(TorusLattice(11)).achieving_vector == (1, -3)
+
+
+def test_distance_report_matches_the_reduce_oracle():
+    # the whole report, the achieving vector being the first of least
+    # weight in k order, at every odd q up to 1001
+    for q in range(5, 1002, 2):
+        lattice = TorusLattice(q)
+        assert distance_report(lattice) == distance_by_reduce(lattice), q
 
 
 def test_closed_form_examples():
