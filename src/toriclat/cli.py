@@ -7,11 +7,11 @@ error.
 
 This module holds what every command shares: the output functions, the
 exit codes, the argparse types and the table of subcommands.  Each
-command's arguments and body live in its module of toriclat.commands
-(params and compare share one), and build_parser imports only the module
-of the command being run, so that a process compiles and configures that
-command alone.  A command imports the layers it runs when it runs, so
-that a process loads and compiles only those too.
+command's arguments and body live in its own module of toriclat.commands
+(compare writes params' JSON and CSV rows), and build_parser imports
+only the module of the command being run, so that a process compiles and
+configures that command alone.  A command imports the layers it runs when
+it runs, so that a process loads and compiles only those too.
 """
 
 from __future__ import annotations
@@ -34,19 +34,19 @@ EXIT_IO = 3
 MAX_PRECISION = 100
 STDOUT_SLICE = 1 << 16  # characters per write
 
-# each subcommand's module of toriclat.commands and its help, in the
-# order that `toriclat -h` lists them
+# each subcommand's help, in the order that `toriclat -h` lists them;
+# toriclat.commands.<name> holds its arguments and body
 COMMANDS = {
-    "codewords": ("codewords", "list the code's cells"),
-    "gens": ("gens", "list all generating vectors"),
-    "distance": ("distance", "minimum Mannheim distance"),
-    "tessellate": ("tessellate", "tile the torus with a polyomino"),
-    "params": ("params", "code parameters for all families"),
-    "compare": ("params", "interleaved code vs baselines"),
-    "interleave": ("interleave", "emit the stream-to-edge map"),
-    "simulate": ("simulate", "seeded cluster-error simulation"),
-    "tables": ("tables", "regenerate the reference tables"),
-    "verify": ("verify", "run the invariant sweeps"),
+    "codewords": "list the code's cells",
+    "gens": "list all generating vectors",
+    "distance": "minimum Mannheim distance",
+    "tessellate": "tile the torus with a polyomino",
+    "params": "code parameters for all families",
+    "compare": "interleaved code vs baselines",
+    "interleave": "emit the stream-to-edge map",
+    "simulate": "seeded cluster-error simulation",
+    "tables": "regenerate the reference tables",
+    "verify": "run the invariant sweeps",
 }
 
 
@@ -164,12 +164,12 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
         description="Cyclic lattice codes on q x q torus grids: distances, "
                     "tessellations, and burst-error interleaving.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (module, summary) in COMMANDS.items():
+    for name, summary in COMMANDS.items():
         p = sub.add_parser(name, help=summary)
         if name == invoked:
             # __import__ with a fromlist returns the module itself; unlike
             # importlib.import_module, it shows in -X importtime
-            command = __import__(f"{__package__}.commands.{module}",
+            command = __import__(f"{__package__}.commands.{name}",
                                  fromlist=["run"])
             command.add_arguments(p)
             p.set_defaults(func=command.run)

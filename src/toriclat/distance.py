@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .codes import codewords
 from .lattice import TorusLattice, Vector
 
 def mannheim_weight(vec: Vector) -> int:
@@ -62,11 +61,10 @@ def min_distance_closed_form(lattice: TorusLattice) -> int:
 
 def distance_report(lattice: TorusLattice) -> DistanceReport:
     """Brute force: the minimum Mannheim weight over the q-1 nonzero
-    codewords of the canonical code, each in symmetric-residue form,
+    codewords k*(1, g) mod q, k = 1..q-1, each in symmetric-residue form,
     v -> (v + h) % q - h with h = (q-1)/2, reduced and weighed inline."""
-    q, h = lattice.q, lattice.n
-    nonzero = [((x + h) % q - h, (y + h) % q - h)
-               for x, y in codewords(lattice)[1:]]
+    q, g, h = lattice.q, lattice.g, lattice.n
+    nonzero = [((k + h) % q - h, (k * g + h) % q - h) for k in range(1, q)]
     weights = [abs(x) + abs(y) for x, y in nonzero]
     distance = min(weights)
     # index finds the first of minimal weight

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 import toriclat
 from oracles import PROPERTY, odd_q_and_polyomino
 from reference_data import GRID_MARKS, INTERLEAVED_ROWS
-from toriclat import kernels, params, tables
+from toriclat import cli, kernels, params, tables
 from toriclat.cli import build_parser, main
 from toriclat.commands.interleave import _map_json
 from toriclat.interleaving import build_interleaver
@@ -1041,6 +1041,16 @@ def test_verify_at_benchmark_size_is_the_benchmark_digest(capsys, scope):
      ["simulate", "--q", "5", "--trials", "200", "--seed", "42",
       "--model", "uniform-cluster"]),
     ("tessellate_q7.svg", ["tessellate", "--q", "7", "--format", "svg"]),
+    ("params_q7.txt", ["params", "--q", "7"]),
+    ("params_q9.json", ["params", "--q", "9", "--format", "json"]),
+    ("params_q5_p0.csv",
+     ["params", "--q", "5", "--format", "csv", "--precision", "0"]),
+    ("compare_5_41.txt", ["compare", "--q-range", "5:41:2"]),
+    ("compare_5_21.json",
+     ["compare", "--q-range", "5:21:2", "--format", "json"]),
+    ("compare_5_31_p3.csv",
+     ["compare", "--q-range", "5:31:2", "--format", "csv", "--precision",
+      "3"]),
 ])
 def test_golden_outputs_are_stable(capsys, name, argv):
     code, out = run(capsys, *argv)
@@ -1077,15 +1087,17 @@ def _imported_modules(argv):
             if line.startswith("module: ")}
 
 
-@pytest.mark.parametrize("argv", [
-    ["codewords", "--q", "5"],
-    ["verify", "--scope", "distance", "--q-max", "9"],
-    ["verify", "--scope", "tiling", "--q-max", "9"],
-    ["gens", "--q", "7"],
+@pytest.mark.parametrize("argv,loads_codes", [
+    (["codewords", "--q", "5"], True),
+    # distance_report enumerates the codewords itself
+    (["verify", "--scope", "distance", "--q-max", "9"], False),
+    (["verify", "--scope", "tiling", "--q-max", "9"], True),
+    (["gens", "--q", "7"], True),
 ])
-def test_commands_import_only_their_layers(argv):
+def test_commands_import_only_their_layers(argv, loads_codes):
     loaded = _imported_modules(argv)
-    assert "toriclat.cli" in loaded and "toriclat.codes" in loaded
+    assert "toriclat.cli" in loaded
+    assert ("toriclat.codes" in loaded) == loads_codes
     assert not loaded & {"toriclat.interleaving", "toriclat.params",
                          "fractions"}
 
@@ -1127,6 +1139,23 @@ def test_import_toriclat_loads_no_layer():
     assert proc.stdout == "[]\n"
 
 
+def _run_module(module, *argv):
+    return subprocess.run([sys.executable, "-m", module, *argv],
+                          capture_output=True, text=True,
+                          env=_child_env(False), timeout=60)
+
+
+def test_python_m_toriclat_cli_runs_the_package_main():
+    # run as __main__, cli.py hands over to the package's own cli module,
+    # whose UsageError is the class the commands raise
+    ok = _run_module("toriclat.cli", "codewords", "--q", "5")
+    assert (ok.returncode, ok.stderr) == (0, "")
+    assert ok.stdout == _run_module("toriclat", "codewords", "--q", "5").stdout
+    bad = _run_module("toriclat.cli", "codewords", "--q", "4")
+    assert (bad.returncode, bad.stdout) == (2, "")
+    assert bad.stderr == "error: q must be odd and >= 5, got 4\n"
+
+
 # Every command's records are tuples, so no command pays for importing
 # dataclasses and the inspect module it pulls in.
 HEAVY_MODULES = ("dataclasses", "inspect")
@@ -1159,15 +1188,22 @@ def test_commands_do_not_import_dataclasses_or_inspect(argv):
     assert _heavy_modules_loaded(run_command) == _heavy_modules_loaded("")
 
 
-# Each command's arguments and body are in its module of toriclat.commands
-# (compare's in params's), and a process compiles only the one it runs.
+# Each command's arguments and body are in its own module of
+# toriclat.commands, and a process compiles only the one it runs (and
+# params', whose rows compare writes).
+
+def test_every_command_has_its_own_module():
+    for name in cli.COMMANDS:
+        module = importlib.import_module(f"toriclat.commands.{name}")
+        assert callable(module.add_arguments) and callable(module.run), name
+
 
 @pytest.mark.parametrize("argv", ALL_COMMANDS, ids=lambda a: a[0])
 def test_each_command_loads_only_its_own_command_module(argv):
-    own = "params" if argv[0] == "compare" else argv[0]
+    own = {argv[0], "params"} if argv[0] == "compare" else {argv[0]}
     assert {m for m in _imported_modules(argv)
             if m.startswith("toriclat.commands.")} == {
-        f"toriclat.commands.{own}"}
+        f"toriclat.commands.{name}" for name in own}
 
 
 def test_cli_loads_a_command_module_only_for_the_parser_of_that_command():
