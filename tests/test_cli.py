@@ -1087,17 +1087,17 @@ def _imported_modules(argv):
             if line.startswith("module: ")}
 
 
-@pytest.mark.parametrize("argv,loads_codes", [
-    (["codewords", "--q", "5"], True),
-    # distance_report enumerates the codewords itself
-    (["verify", "--scope", "distance", "--q-max", "9"], False),
-    (["verify", "--scope", "tiling", "--q-max", "9"], True),
-    (["gens", "--q", "7"], True),
+@pytest.mark.parametrize("argv", [
+    ["codewords", "--q", "5"],
+    ["verify", "--scope", "distance", "--q-max", "9"],
+    ["verify", "--scope", "tiling", "--q-max", "9"],
+    ["gens", "--q", "7"],
 ])
-def test_commands_import_only_their_layers(argv, loads_codes):
+def test_commands_import_only_their_layers(argv):
     loaded = _imported_modules(argv)
     assert "toriclat.cli" in loaded
-    assert ("toriclat.codes" in loaded) == loads_codes
+    # distance_report enumerates the codewords itself
+    assert ("toriclat.codes" in loaded) == ("distance" not in argv)
     assert not loaded & {"toriclat.interleaving", "toriclat.params",
                          "fractions"}
 
