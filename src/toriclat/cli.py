@@ -5,12 +5,13 @@ interleave, simulate, tables, verify.  Exit codes: 0 success, 1 property
 violation, 2 usage error (an input too large for memory included), 3 I/O
 error.
 
-This module holds what every command shares: the output functions, the
-exit codes, the argparse types and the table of subcommands.  Each
-command's arguments and body live in its own module of toriclat.commands
-(compare writes params' JSON and CSV rows), and build_parser imports
-only the module of the command being run, so that a process compiles and
-configures that command alone.  A command imports the layers it runs when
+This module holds only what more than one command uses: the output
+functions, the exit codes, the shared argparse types and the table of
+subcommands.  Each command's arguments, body and the code that only it
+runs live in its own module of toriclat.commands (compare writes params'
+JSON and CSV rows), and build_parser imports only the module of the
+command being run, so that a process compiles and configures that
+command alone.  A command imports the layers it runs when
 it runs, so that a process loads and compiles only those too.
 """
 
@@ -86,16 +87,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _json(payload) -> str:
-    return json.dumps(payload, indent=2, default=_fraction) + "\n"
-
-
-def _fraction(value) -> dict:
-    """json.dumps's hook for a Fraction, the one value it cannot write;
-    fractions is loaded already by the layer that made one."""
-    from fractions import Fraction
-    if not isinstance(value, Fraction):
-        raise TypeError(f"{type(value).__name__} is not JSON serializable")
-    return {"exact": str(value), "value": float(value)}
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def _lattice(q: int) -> TorusLattice:
@@ -112,7 +104,7 @@ class UsageError(Exception):
 
 def _int_at_least(text: str, low: int) -> int:
     """Parse an integer option value of at least low, for argparse types;
-    --precision and --seed add their own upper bounds."""
+    --precision and simulate's --seed add their own upper bounds."""
     try:
         value = int(text)
     except ValueError:
@@ -131,20 +123,6 @@ def _precision(text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"must be <= {MAX_PRECISION}, got {value}")
     return value
-
-
-def _seed(text: str) -> int:
-    """argparse type for --seed; seeds wider than 64 bits would alias."""
-    value = _int_at_least(text, 0)
-    if value >> 64:
-        raise argparse.ArgumentTypeError(f"must be < 2^64, got {value}")
-    return value
-
-
-def _workers(text: str) -> int:
-    """argparse type for --workers, which is accepted for compatibility
-    and changes nothing; all trials run in one pass."""
-    return _int_at_least(text, 1)
 
 
 def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:

@@ -29,6 +29,20 @@ def codewords(lattice: TorusLattice) -> tuple[Cell, ...]:
     return tuple((k, (k * g) % q) for k in range(q))
 
 
+def render_grid(lattice: TorusLattice) -> str:
+    """The q x q grid, rows y and columns x numbered, with an X on each
+    codeword's cell and a dot elsewhere."""
+    q = lattice.q
+    marks = set(codewords(lattice))
+    w = len(str(q - 1))
+    lines = [" " * (w + 1) + " ".join(f"{c:>{w}}" for c in range(q))]
+    for r in range(q):
+        cells = " ".join(("X" if (c, r) in marks else ".").rjust(w)
+                         for c in range(q))
+        lines.append(f"{r:>{w}} " + cells)
+    return "\n".join(lines) + "\n"
+
+
 def generator_set(lattice: TorusLattice) -> GeneratorSet:
     """Every generating pair (c, d) with components in +-{1..q-1}.
 

@@ -1,5 +1,5 @@
-"""The CLI's subcommands, one module each; compare writes params' JSON
-and CSV rows.
+"""The CLI's subcommands, one module each, which holds all the code that
+only its command runs; compare writes params' JSON and CSV rows.
 
 A module has add_arguments(parser), which adds the command's arguments
 to its subparser, and run(args), the command's body, which returns its

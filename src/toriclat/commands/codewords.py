@@ -10,8 +10,7 @@ def add_arguments(parser) -> None:
 
 
 def run(args) -> int:
-    from .. import tables
-    from ..codes import codewords
+    from ..codes import codewords, render_grid
     lattice = cli._lattice(args.q)
     code = codewords(lattice)
     if args.format == "json":
@@ -19,7 +18,7 @@ def run(args) -> int:
                           "codewords": [list(c) for c in code]})
     else:
         listing = " ".join(f"({x},{y})" for x, y in code)
-        text = (tables.render_grid(args.q)
+        text = (render_grid(lattice)
                 + f"codewords (k*(1,{lattice.g}) for k = 0..{args.q - 1}): "
                 + listing + "\n")
     cli._emit(text, args.out)

@@ -32,8 +32,7 @@ def _parse_q_range(text: str) -> list[int]:
 
 
 def run(args) -> int:
-    from .. import tables
-    from ..params import compare
+    from ..params import compare, format_ratio
     qs = [q for q in _parse_q_range(args.q_range) if q >= 5 and q % 2 == 1]
     if not qs:
         raise cli.UsageError(
@@ -65,8 +64,8 @@ def run(args) -> int:
                 flag = ("-" if cp is row.interleaved
                         else "yes" if row.dominates else "NO")
                 lines.append(f"{row.q:>5} {cp.family:<12} "
-                             f"{tables.format_ratio(cp.rate, p):>12} "
-                             f"{tables.format_ratio(cp.gain, p):>12} {flag:>26}")
+                             f"{format_ratio(cp.rate, p):>12} "
+                             f"{format_ratio(cp.gain, p):>12} {flag:>26}")
         text = "\n".join(lines) + "\n"
     cli._emit(text, args.out)
     if not all(row.dominates for row in rows):

@@ -42,9 +42,8 @@ def family_csv(q: int, params: CodeParams, precision: int) -> str:
 
 
 def run(args) -> int:
-    from .. import tables
-    from ..params import (bmd_params, interleaved_params, kitaev_params,
-                          toric_code_params)
+    from ..params import (bmd_params, format_ratio, interleaved_params,
+                          kitaev_params, toric_code_params)
     lattice = cli._lattice(args.q)
     rows = [toric_code_params(lattice), interleaved_params(lattice),
             kitaev_params(args.q), bmd_params(args.q)]
@@ -63,8 +62,8 @@ def run(args) -> int:
             d = "-" if cp.d is None else str(cp.d)
             lines.append(
                 f"{cp.family:<12} {cp.n:>6} {cp.k:>4} {d:>3} {cp.t:>4} "
-                f"{tables.format_ratio(cp.rate, p):>10} "
-                f"{tables.format_ratio(cp.gain, p):>10} "
+                f"{format_ratio(cp.rate, p):>10} "
+                f"{format_ratio(cp.gain, p):>10} "
                 f"{cp.gain_db:>9.{p}f}")
         text = "\n".join(lines) + "\n"
     cli._emit(text, args.out)

@@ -3,6 +3,7 @@ interleaver."""
 
 from __future__ import annotations
 
+import argparse
 from typing import TYPE_CHECKING
 
 from .. import cli
@@ -16,12 +17,26 @@ if TYPE_CHECKING:
 MODELS = ("one-per-cell", "uniform-cluster")
 
 
+def _seed(text: str) -> int:
+    """argparse type for --seed; seeds wider than 64 bits would alias."""
+    value = cli._int_at_least(text, 0)
+    if value >> 64:
+        raise argparse.ArgumentTypeError(f"must be < 2^64, got {value}")
+    return value
+
+
+def _workers(text: str) -> int:
+    """argparse type for --workers, which is accepted for compatibility
+    and changes nothing; all trials run in one pass."""
+    return cli._int_at_least(text, 1)
+
+
 def add_arguments(parser) -> None:
     parser.add_argument("--q", type=int, required=True)
     parser.add_argument("--trials", type=int, required=True)
-    parser.add_argument("--seed", type=cli._seed, default=0)
+    parser.add_argument("--seed", type=_seed, default=0)
     parser.add_argument("--model", choices=MODELS, default=MODELS[0])
-    parser.add_argument("--workers", type=cli._workers, default=1,
+    parser.add_argument("--workers", type=_workers, default=1,
                         help="accepted for compatibility; changes nothing")
     add_common(parser, ("json", "csv"), default_format="json")
 

@@ -54,6 +54,12 @@ class CodeParams(NamedTuple("CodeParams", [
         return 10.0 * (math.log10(self.k * (self.t + 1)) - math.log10(self.n))
 
 
+def format_ratio(value: Fraction | float, precision: int = 5) -> str:
+    """Decimal form of a ratio, trailing zeros trimmed (1.2, 1.14286)."""
+    text = f"{float(value):.{precision}f}"
+    return text.rstrip("0").rstrip(".") if "." in text else text
+
+
 def toric_code_params(lattice: TorusLattice) -> CodeParams:
     """[[2q, 2, d]] with d = 3 for n in {2,3,4} and d = 4 for n >= 5."""
     d = min_distance_closed_form(lattice)

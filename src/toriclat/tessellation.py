@@ -15,7 +15,6 @@ from itertools import chain
 from operator import index
 from typing import Iterable, Iterator, NamedTuple
 
-from .codes import codewords
 from .lattice import Cell, TorusLattice
 
 
@@ -242,6 +241,8 @@ def svg_rows(tiling: Tiling) -> Iterator[str]:
     and tail: the per-column heads are filled once, and each row sets its
     y and its per-anchor tails (each formatted once) by slice assignment.
     """
+    # imported here, so that only the SVG loads the code's layer
+    from .codes import codewords
     q = tiling.lattice.q
     s = CELL_SIZE
     side = q * s

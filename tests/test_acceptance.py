@@ -9,16 +9,17 @@ from fractions import Fraction
 
 from reference_data import (EXAMPLE_CANDIDATES, EXAMPLE_DISTANCES,
                             GENERATOR_SETS, GRID_MARKS, INTERLEAVED_ROWS)
-from toriclat import interleaving, tables
+from toriclat import interleaving
 from toriclat.cli import main
 from toriclat.codes import generator_set
+from toriclat.commands import tables
 from toriclat.distance import distance_report, min_distance_closed_form
 from toriclat.interleaving import (MODEL_ONE_PER_CELL, build_interleaver,
                                    burst_exhaustive_report,
                                    double_slot_uncorrectable_exhaustive,
                                    simulate)
 from toriclat.lattice import SLOT_LEFT, SLOT_TOP, Edge, TorusLattice
-from toriclat.params import compare, interleaved_params
+from toriclat.params import compare, format_ratio, interleaved_params
 from toriclat.tessellation import (Polyomino, canonical_polyomino,
                                    is_fundamental_region, lee_sphere)
 
@@ -97,7 +98,7 @@ def test_criterion_05_interleaved_table():
         params = interleaved_params(TorusLattice(q))
         ok = ok and (params.n, params.k, params.t) == (n, k, t)
         ok = ok and params.gain == Fraction(q + 1, q)
-        ok = ok and tables.format_ratio(params.gain, 5) == gain_text
+        ok = ok and format_ratio(params.gain, 5) == gain_text
     elapsed = time.perf_counter() - start
     _report(5, ok and elapsed < 1.0,
             f"[[2q^2,2q,t=q]] rows and gains match to 5 decimals "

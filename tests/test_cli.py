@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 import toriclat
 from oracles import PROPERTY, odd_q_and_polyomino
 from reference_data import GRID_MARKS, INTERLEAVED_ROWS
-from toriclat import cli, kernels, params, tables
+from toriclat import cli, kernels, params
 from toriclat.cli import build_parser, main
 from toriclat.commands.interleave import _map_json
 from toriclat.interleaving import build_interleaver
@@ -1051,6 +1051,11 @@ def test_verify_at_benchmark_size_is_the_benchmark_digest(capsys, scope):
     ("compare_5_31_p3.csv",
      ["compare", "--q-range", "5:31:2", "--format", "csv", "--precision",
       "3"]),
+    ("tables_all.txt", ["tables", "all"]),
+    # T8's rate and gain, each as an exact fraction and a full float
+    ("tables_all.json", ["tables", "all", "--format", "json"]),
+    # two-digit row and column labels
+    ("codewords_q13.txt", ["codewords", "--q", "13"]),
 ])
 def test_golden_outputs_are_stable(capsys, name, argv):
     code, out = run(capsys, *argv)
@@ -1096,8 +1101,9 @@ def _imported_modules(argv):
 def test_commands_import_only_their_layers(argv):
     loaded = _imported_modules(argv)
     assert "toriclat.cli" in loaded
-    # distance_report enumerates the codewords itself
-    assert ("toriclat.codes" in loaded) == ("distance" not in argv)
+    # distance_report enumerates the codewords itself, and the tiling
+    # loads the code's layer only to draw its SVG
+    assert ("toriclat.codes" in loaded) == (argv[0] in ("codewords", "gens"))
     assert not loaded & {"toriclat.interleaving", "toriclat.params",
                          "fractions"}
 
@@ -1115,14 +1121,17 @@ def test_commands_that_run_no_trials_do_not_load_the_kernel(argv):
     assert not _imported_modules(argv) & {"toriclat.kernels", "array"}
 
 
-@pytest.mark.parametrize("argv", [
-    ["codewords", "--q", "5"], ["gens", "--q", "7"],
-    ["interleave", "--q", "5"], ["simulate", "--q", "5", "--trials", "5"],
-    ["verify", "--scope", "distance", "--q-max", "5"],
-])
-def test_only_verify_loads_the_verify_layer(argv):
-    assert ("toriclat.verify" in _imported_modules(argv)) == (
-        argv[0] == "verify")
+def test_codewords_loads_only_the_code_and_its_lattice():
+    assert {m for m in _imported_modules(["codewords", "--q", "5"])
+            if m.startswith("toriclat")} == {
+        "toriclat", "toriclat.cli", "toriclat.codes", "toriclat.lattice",
+        "toriclat.commands", "toriclat.commands.codewords"}
+
+
+@pytest.mark.parametrize("argv", [["params", "--q", "7"], ["compare"]],
+                         ids=lambda a: a[0])
+def test_params_and_compare_do_not_load_the_code(argv):
+    assert "toriclat.codes" not in _imported_modules(argv)
 
 
 def test_simulate_loads_the_kernel():
@@ -1285,16 +1294,15 @@ def _choices(command, dest):
 
 
 def test_parser_choices_are_the_layers_constants():
-    assert _choices("tables", "which")[0] == tables.TABLE_IDS + ("all",)
     assert _choices("simulate", "model") == (
         (kernels.MODEL_ONE_PER_CELL, kernels.MODEL_UNIFORM_CLUSTER),
         kernels.MODEL_ONE_PER_CELL)
-    # verify runs the function of its layer named by each scope
-    from toriclat import verify
+    # verify runs the check of each scope, in report order
+    from toriclat.commands.verify import SCOPES
     assert _choices("verify", "scope") == (
         ("distance", "tiling", "interleaver", "all"), "all")
-    assert all(callable(getattr(verify, scope))
-               for scope in _choices("verify", "scope")[0][:-1])
+    assert list(SCOPES) == list(_choices("verify", "scope")[0][:-1])
+    assert all(map(callable, SCOPES.values()))
 
 
 

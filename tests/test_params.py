@@ -6,9 +6,8 @@ from reference_data import INTERLEAVED_ROWS
 from toriclat.distance import distance_report
 from toriclat.lattice import TorusLattice
 from toriclat.params import (CodeParams, ComparisonRow, bmd_params, compare,
-                             interleaved_params, kitaev_params,
+                             format_ratio, interleaved_params, kitaev_params,
                              toric_code_params)
-from toriclat.tables import format_ratio
 
 
 def _nkdt(p):

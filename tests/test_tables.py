@@ -2,7 +2,10 @@ import pytest
 
 from reference_data import (GENERATOR_SETS, GRID_MARKS, INTERLEAVED_ROWS,
                             T2_COLUMN_CODES, T2_ROW_CODES)
-from toriclat import tables
+from toriclat.codes import render_grid
+from toriclat.commands import tables
+from toriclat.lattice import TorusLattice
+from toriclat.params import format_ratio
 
 
 @pytest.mark.parametrize("q", [5, 7, 9, 11, 13])
@@ -32,14 +35,15 @@ def test_t8_rows_and_gains():
     for row in data["rows"]:
         n, k, t, gain_text = INTERLEAVED_ROWS[row["q"]]
         assert (row["n"], row["k"], row["t"]) == (n, k, t)
-        assert tables.format_ratio(row["gain"]) == gain_text
+        assert row["gain"]["exact"] == f"{row['q'] + 1}/{row['q']}"
+        assert format_ratio(row["gain"]["value"]) == gain_text
     rendered = tables.render_table("T8")
     for _, (_, _, _, gain_text) in INTERLEAVED_ROWS.items():
         assert gain_text in rendered
 
 
 def test_grid_rendering_marks_only_codeword_cells():
-    art = tables.render_grid(5)
+    art = render_grid(TorusLattice(5))
     lines = art.strip().split("\n")
     assert len(lines) == 6  # header + 5 rows
     body = lines[1:]
@@ -55,6 +59,6 @@ def test_unknown_table_id_raises():
 
 def test_format_ratio_trims_trailing_zeros():
     from fractions import Fraction
-    assert tables.format_ratio(Fraction(6, 5)) == "1.2"
-    assert tables.format_ratio(Fraction(8, 7)) == "1.14286"
-    assert tables.format_ratio(Fraction(1, 25)) == "0.04"
+    assert format_ratio(Fraction(6, 5)) == "1.2"
+    assert format_ratio(Fraction(8, 7)) == "1.14286"
+    assert format_ratio(Fraction(1, 25)) == "0.04"
