@@ -6,13 +6,13 @@ violation, 2 usage error (an input too large for memory included), 3 I/O
 error.
 
 This module holds only what more than one command uses: the output
-functions, the exit codes, the shared argparse types and the table of
-subcommands.  Each command's arguments, body and the code that only it
-runs live in its own module of toriclat.commands (compare writes params'
-JSON and CSV rows), and build_parser imports only the module of the
-command being run, so that a process compiles and configures that
-command alone.  A command imports the layers it runs when
-it runs, so that a process loads and compiles only those too.
+functions, the exit codes, the shared argparse types and helpers and the
+table of subcommands.  Each command's arguments, body and the code that
+only it runs live in its own module of toriclat.commands, which imports
+no other command's module, and build_parser imports only the module of
+the command being run, so that a process compiles and configures that
+command alone.  A command imports the layers it runs when it runs, so
+that a process loads and compiles only those too.
 """
 
 from __future__ import annotations
@@ -123,6 +123,11 @@ def _precision(text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"must be <= {MAX_PRECISION}, got {value}")
     return value
+
+
+def add_common(parser, formats, default_format="text") -> None:
+    parser.add_argument("--format", choices=formats, default=default_format)
+    parser.add_argument("--out", default=None, help="write output to a file")
 
 
 def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:

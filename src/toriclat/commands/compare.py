@@ -1,9 +1,7 @@
 """compare: the interleaved code against Kitaev's and BMD's over a range
-of q, in params' JSON and CSV rows."""
+of q, in the params layer's JSON and CSV rows, which params writes too."""
 
 from .. import cli
-from . import add_common
-from .params import CSV_HEADER, family_csv, family_json
 
 
 def add_arguments(parser) -> None:
@@ -12,7 +10,7 @@ def add_arguments(parser) -> None:
                              "start needs the = form, --q-range=-5:17:2")
     parser.add_argument("--precision", type=cli._precision, default=5,
                         help="decimal places, 0..100")
-    add_common(parser, ("text", "json", "csv"))
+    cli.add_common(parser, ("text", "json", "csv"))
 
 
 def _parse_q_range(text: str) -> list[int]:
@@ -32,7 +30,8 @@ def _parse_q_range(text: str) -> list[int]:
 
 
 def run(args) -> int:
-    from ..params import compare, format_ratio
+    from ..params import (CSV_HEADER, compare, family_csv, family_json,
+                          format_ratio)
     qs = [q for q in _parse_q_range(args.q_range) if q >= 5 and q % 2 == 1]
     if not qs:
         raise cli.UsageError(

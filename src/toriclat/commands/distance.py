@@ -4,14 +4,13 @@ form, or both, which checks the one against the other."""
 import sys
 
 from .. import cli
-from . import add_common
 
 
 def add_arguments(parser) -> None:
     parser.add_argument("--q", type=int, required=True)
     parser.add_argument("--method", choices=("brute", "closed", "both"),
                         default="both")
-    add_common(parser, ("text", "json"))
+    cli.add_common(parser, ("text", "json"))
 
 
 def run(args) -> int:

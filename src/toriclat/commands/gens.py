@@ -1,12 +1,11 @@
 """gens: every generating vector of the code."""
 
 from .. import cli
-from . import add_common
 
 
 def add_arguments(parser) -> None:
     parser.add_argument("--q", type=int, required=True)
-    add_common(parser, ("text", "json"))
+    cli.add_common(parser, ("text", "json"))
 
 
 def run(args) -> int:

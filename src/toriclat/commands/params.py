@@ -1,49 +1,20 @@
-"""params: each family's code parameters at one q.  Its JSON and CSV
-rows are compare's too."""
-
-from __future__ import annotations
-
-from typing import TYPE_CHECKING
+"""params: each family's code parameters at one q, in the params
+layer's JSON and CSV rows."""
 
 from .. import cli
-from . import add_common
-
-if TYPE_CHECKING:
-    from ..params import CodeParams
-
-CSV_HEADER = "q,family,n,k,d,t,rate,gain,gain_db"
 
 
 def add_arguments(parser) -> None:
     parser.add_argument("--q", type=int, required=True)
     parser.add_argument("--precision", type=cli._precision, default=5,
                         help="decimal places, 0..100")
-    add_common(parser, ("text", "json", "csv"))
-
-
-def family_json(params: CodeParams, precision: int) -> dict:
-    rate, gain = params.rate, params.gain  # each property builds a Fraction
-    return {
-        **params._asdict(),
-        "rate": round(float(rate), precision),
-        "rate_exact": str(rate),
-        "gain": round(float(gain), precision),
-        "gain_exact": str(gain),
-        "gain_db": round(params.gain_db, precision),
-    }
-
-
-def family_csv(q: int, params: CodeParams, precision: int) -> str:
-    d = "" if params.d is None else str(params.d)
-    return (f"{q},{params.family},{params.n},{params.k},{d},{params.t},"
-            f"{float(params.rate):.{precision}f},"
-            f"{float(params.gain):.{precision}f},"
-            f"{params.gain_db:.{precision}f}")
+    cli.add_common(parser, ("text", "json", "csv"))
 
 
 def run(args) -> int:
-    from ..params import (bmd_params, format_ratio, interleaved_params,
-                          kitaev_params, toric_code_params)
+    from ..params import (CSV_HEADER, bmd_params, family_csv, family_json,
+                          format_ratio, interleaved_params, kitaev_params,
+                          toric_code_params)
     lattice = cli._lattice(args.q)
     rows = [toric_code_params(lattice), interleaved_params(lattice),
             kitaev_params(args.q), bmd_params(args.q)]

@@ -7,7 +7,6 @@ import argparse
 from typing import TYPE_CHECKING
 
 from .. import cli
-from . import add_common
 
 if TYPE_CHECKING:
     from ..interleaving import SimulationStats
@@ -38,7 +37,7 @@ def add_arguments(parser) -> None:
     parser.add_argument("--model", choices=MODELS, default=MODELS[0])
     parser.add_argument("--workers", type=_workers, default=1,
                         help="accepted for compatibility; changes nothing")
-    add_common(parser, ("json", "csv"), default_format="json")
+    cli.add_common(parser, ("json", "csv"), default_format="json")
 
 
 def _stats_payload(stats: SimulationStats) -> dict:

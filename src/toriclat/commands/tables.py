@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Any
 
 from .. import cli
-from . import add_common
 
 # each table's kind and the q (or qs) it covers, in the order of `all`
 TABLES = {"T1": ("grid", 5), "T2": ("codes", 5),
@@ -41,7 +40,7 @@ def add_arguments(parser) -> None:
                         help="decimal places of the text tables (0..100); "
                              "--format json ignores it and prints each "
                              "value as an exact fraction and a full float")
-    add_common(parser, ("text", "json"))
+    cli.add_common(parser, ("text", "json"))
 
 
 def grid_marks(q: int) -> list[tuple[int, int]]:

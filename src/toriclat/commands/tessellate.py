@@ -6,7 +6,6 @@ import sys
 from typing import TYPE_CHECKING
 
 from .. import cli
-from . import add_common
 
 if TYPE_CHECKING:
     from ..lattice import TorusLattice
@@ -17,7 +16,7 @@ def add_arguments(parser) -> None:
     parser.add_argument("--q", type=int, required=True)
     parser.add_argument("--shape", default="canonical",
                         help="canonical, lee, or file:<path> of 'x y' lines")
-    add_common(parser, ("ascii", "text", "svg"), default_format="ascii")
+    cli.add_common(parser, ("ascii", "text", "svg"), default_format="ascii")
 
 
 def _load_shape(selector: str, lattice: TorusLattice) -> Polyomino:

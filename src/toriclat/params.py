@@ -1,8 +1,10 @@
 """Code parameters, rates, and gains for the four code families compared.
 
 All rates and gains are exact rationals; decimals appear only at output
-boundaries.  Printed gain tables list the raw ratio (k/n)*(t+1); the
-honest decibel value 10*log10(G) is exposed separately as gain_db.
+boundaries: format_ratio, and the JSON records and CSV rows that the
+params and compare commands both write.  Printed gain tables list the
+raw ratio (k/n)*(t+1); the honest decibel value 10*log10(G) is exposed
+separately as gain_db.
 """
 
 from __future__ import annotations
@@ -58,6 +60,32 @@ def format_ratio(value: Fraction | float, precision: int = 5) -> str:
     """Decimal form of a ratio, trailing zeros trimmed (1.2, 1.14286)."""
     text = f"{float(value):.{precision}f}"
     return text.rstrip("0").rstrip(".") if "." in text else text
+
+
+def family_json(params: CodeParams, precision: int) -> dict:
+    """A family's JSON record: its fields, and rate, gain and gain_db
+    rounded to precision places beside the exact ratios."""
+    rate, gain = params.rate, params.gain  # each property builds a Fraction
+    return {
+        **params._asdict(),
+        "rate": round(float(rate), precision),
+        "rate_exact": str(rate),
+        "gain": round(float(gain), precision),
+        "gain_exact": str(gain),
+        "gain_db": round(params.gain_db, precision),
+    }
+
+
+CSV_HEADER = "q,family,n,k,d,t,rate,gain,gain_db"
+
+
+def family_csv(q: int, params: CodeParams, precision: int) -> str:
+    """A family's CSV row at q under CSV_HEADER; d is empty when unset."""
+    d = "" if params.d is None else str(params.d)
+    return (f"{q},{params.family},{params.n},{params.k},{d},{params.t},"
+            f"{float(params.rate):.{precision}f},"
+            f"{float(params.gain):.{precision}f},"
+            f"{params.gain_db:.{precision}f}")
 
 
 def toric_code_params(lattice: TorusLattice) -> CodeParams:

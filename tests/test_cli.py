@@ -1,4 +1,5 @@
 import argparse
+import ast
 import hashlib
 import importlib
 import io
@@ -1198,8 +1199,7 @@ def test_commands_do_not_import_dataclasses_or_inspect(argv):
 
 
 # Each command's arguments and body are in its own module of
-# toriclat.commands, and a process compiles only the one it runs (and
-# params', whose rows compare writes).
+# toriclat.commands, and a process compiles only the one it runs.
 
 def test_every_command_has_its_own_module():
     for name in cli.COMMANDS:
@@ -1207,12 +1207,58 @@ def test_every_command_has_its_own_module():
         assert callable(module.add_arguments) and callable(module.run), name
 
 
+def _imported_names(node):
+    """The absolute names an import statement in toriclat.commands binds
+    or loads: the module it reads, and each name it takes from it."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    # level 1 is toriclat.commands, level 2 toriclat
+    base = ".".join(filter(None, (
+        ("", "toriclat.commands", "toriclat")[node.level], node.module)))
+    return [base] + [f"{base}.{alias.name}" for alias in node.names]
+
+
+def _imports(body, in_function=False, type_checking=False):
+    """Every import statement under body, with whether it runs when the
+    module is imported (outside a function and outside TYPE_CHECKING)."""
+    for node in body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node, not (in_function or type_checking)
+        checking = type_checking or (
+            isinstance(node, ast.If) and isinstance(node.test, ast.Name)
+            and node.test.id == "TYPE_CHECKING")
+        inner = in_function or isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        yield from _imports(ast.iter_child_nodes(node), inner, checking)
+
+
+def test_command_modules_import_only_cli_of_toriclat():
+    # so that the tests run over ALL_COMMANDS leave out no command
+    assert {argv[0] for argv in ALL_COMMANDS} == set(cli.COMMANDS)
+    for path in sorted((Path(cli.__file__).parent / "commands").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node, at_import in _imports(tree.body):
+            where = f"{path.name}:{node.lineno}"
+            names = _imported_names(node)
+            assert not any(name == "toriclat.commands"
+                           or name.startswith("toriclat.commands.")
+                           for name in names), where
+            if not at_import:
+                continue
+            if isinstance(node, ast.ImportFrom) and node.level:
+                assert (node.level, node.module,
+                        [alias.name for alias in node.names]) == (
+                    2, None, ["cli"]), where
+            else:
+                assert names[0].split(".")[0] in sys.stdlib_module_names, \
+                    where
+
+
 @pytest.mark.parametrize("argv", ALL_COMMANDS, ids=lambda a: a[0])
 def test_each_command_loads_only_its_own_command_module(argv):
-    own = {argv[0], "params"} if argv[0] == "compare" else {argv[0]}
     assert {m for m in _imported_modules(argv)
             if m.startswith("toriclat.commands.")} == {
-        f"toriclat.commands.{name}" for name in own}
+        f"toriclat.commands.{argv[0]}"}
 
 
 def test_cli_loads_a_command_module_only_for_the_parser_of_that_command():
